@@ -49,9 +49,8 @@ pub mod to_san;
 pub mod tree;
 
 pub use campaign::{
-    AttackGoal, BatchedCampaignWorkspace, CampaignBatchTask, CampaignCheckpoint, CampaignConfig,
-    CampaignMilestone, CampaignOutcome, CampaignSimulator, MilestonePlacement, PilotedMilestones,
-    StageRun, ThreatModel,
+    AttackGoal, CampaignCheckpoint, CampaignConfig, CampaignMilestone, CampaignOutcome,
+    CampaignSimulator, MilestonePlacement, PilotedMilestones, StageRun, ThreatModel,
 };
 pub use chain::{chain_success_probability, simulate_chain, MachineChain};
 pub use exploit::ExploitCatalog;

@@ -92,14 +92,14 @@ pub use calendar::{Calendar, EventToken};
 pub use engine::RunOutcome;
 pub use engine::{Context, Engine, Model};
 pub use exec::{
-    AdaptiveRun, BatchTask, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor,
-    FailureCause, PartialRun, PlanError, Precision, Replication, ReplicationFailure,
-    ReplicationPlan, Reseed, RetryPolicy, RunPolicy, StopRule,
+    AdaptiveRun, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause,
+    PartialRun, PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan, Reseed,
+    RetryPolicy, RunPolicy, StopRule,
 };
 pub use faults::{FaultKind, FaultPlan, InjectedPanic};
 pub use observe::{TimeWeighted, Welford};
 pub use replication::{ReplicationRunner, ReplicationSummary};
-pub use rng::{derive_seed, LaneState, RngLanes, RngStream, StreamId};
+pub use rng::{derive_seed, RngStream, StreamId};
 pub use splitting::{
     LevelRun, LevelSummary, Splitting, SplittingRun, StagedTask, SPLITTING_STREAM_NAMESPACE,
 };

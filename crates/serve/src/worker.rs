@@ -31,8 +31,11 @@ use std::time::Duration;
 /// Worker configuration.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Executor for the replication loop (serial by default: the
-    /// service's parallelism axis is workers, not threads per worker).
+    /// Executor for the replication loop. The default is
+    /// `Executor::default()`, the parallel executor, so each worker also
+    /// fans its shard's batches out over threads; pass
+    /// `Executor::serial()` to keep workers as the only parallelism
+    /// axis. Results are bit-identical either way.
     pub executor: Executor,
     /// How often to heartbeat while a shard runs.
     pub heartbeat_every: Duration,
