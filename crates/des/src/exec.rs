@@ -49,14 +49,25 @@
 //!   deadline, or a cooperative [`CancelToken`], all checked at round
 //!   boundaries) after *N* rounds is bit-identical to the fixed plan of
 //!   *N* rounds over the completed indices.
+//!
+//! A parallel run forks once: it spawns `threads − 1` scoped helper
+//! threads when it starts (`threads` is `rayon::current_num_threads()`,
+//! so `RAYON_NUM_THREADS` sets it, capped at the batch size), the calling
+//! thread works alongside them, and every helper is joined before the
+//! run returns. Each round is cut into chunks that the threads claim from
+//! a counter carrying the round number; the calling thread then drains
+//! the chunks in replication order into the fold and checks the budget,
+//! cancellation and precision before publishing the next round. No
+//! thread outlives its run, and a panic that escapes a replication on a
+//! helper is re-raised on the calling thread with its own payload.
 
 use crate::rng::{derive_seed, StreamId};
-use rayon::prelude::*;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 /// The default stream namespace for replication seeds (shared with the
@@ -354,7 +365,9 @@ impl ReplicationPlan {
 pub enum ExecMode {
     /// One after another on the calling thread.
     Serial,
-    /// Work-shared across all available cores.
+    /// Work-shared by the calling thread and helper threads spawned once
+    /// per run: `RAYON_NUM_THREADS` threads in all (default: the
+    /// available parallelism), capped at the batch size.
     #[default]
     Parallel,
 }
@@ -1112,6 +1125,37 @@ fn record_or_propagate(err: Box<TaskError>, strict: bool, failed: &mut Vec<Repli
     failed.push(err.failure);
 }
 
+/// Executes one batch-sized round (`round` is the batch index) through
+/// `dispatch` and folds its outcomes into a fresh accumulator in
+/// replication order — the same order whether the round ran serially or
+/// on the run's helpers. Failures either re-raise (`strict`) or are
+/// recorded in `failed` in replication order, so the fold shape is fixed
+/// even under faults.
+fn round_accum<T, J, C>(
+    dispatch: &Dispatch<'_, Result<T, Box<TaskError>>, J>,
+    plan: &ReplicationPlan,
+    round: u32,
+    collector: &C,
+    strict: bool,
+    completed: &mut u32,
+    failed: &mut Vec<ReplicationFailure>,
+) -> C::Accum
+where
+    T: Send,
+    J: Fn(u32) -> Result<T, Box<TaskError>> + Sync,
+    C: Collector<T>,
+{
+    let mut acc = collector.empty();
+    dispatch.round(round, |i, outcome| match outcome {
+        Ok(value) => {
+            collector.accumulate(plan, &mut acc, plan.replication(i), value);
+            *completed += 1;
+        }
+        Err(err) => record_or_propagate(err, strict, failed),
+    });
+    acc
+}
+
 /// Runs the replications of a [`ReplicationPlan`].
 ///
 /// The executor owns scheduling *only*: seeds come from the plan, and
@@ -1163,72 +1207,52 @@ impl Executor {
         self.mode
     }
 
-    /// Executes one batch-sized round (`round` is the batch index) and
-    /// folds its ordered outputs into a fresh accumulator. A serial
-    /// round folds each output as it is produced; a parallel round
-    /// materializes the round's outcomes (the only buffered vector, so
-    /// peak memory is O(batch_size) regardless of how many rounds run)
-    /// and folds them in replication order — the accumulate order is
-    /// identical either way. Every replication borrows a workspace from
-    /// `pool` for the duration of each attempt, runs unwind-caught, and
-    /// is retried per `retry`; failures either re-raise (`strict`) or
-    /// are recorded in `failed` in replication order, so the fold shape
-    /// is fixed even under faults.
-    #[allow(clippy::too_many_arguments)]
-    fn round_accum<W, T, I, F, C, V>(
-        &self,
-        plan: &ReplicationPlan,
-        round: u32,
-        pool: &WorkspacePool<'_, W, I>,
-        task: &F,
-        collector: &C,
-        validate: &V,
-        retry: &RetryPolicy,
-        strict: bool,
-        completed: &mut u32,
-        failed: &mut Vec<ReplicationFailure>,
-    ) -> C::Accum
+    /// Runs `body` on the calling thread with the [`Dispatch`] that
+    /// executes one run's rounds of `batch` replications through `job`.
+    ///
+    /// A serial executor, or a parallel one that gets a single thread,
+    /// runs every replication on the calling thread. Otherwise the run
+    /// forks here, once: `threads − 1` scoped helpers are spawned, where
+    /// `threads` is `rayon::current_num_threads()` capped at `batch`, and
+    /// all of them are released and joined when `body` returns or
+    /// unwinds. A helper that fails to spawn is simply not used.
+    fn fork<R, J, B, Out>(&self, batch: u32, job: &J, body: B) -> Out
     where
-        W: Send,
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, Replication) -> T + Sync + Send,
-        C: Collector<T>,
-        V: Fn(&T) -> bool + Sync,
+        R: Send,
+        J: Fn(u32) -> R + Sync,
+        B: FnOnce(&Dispatch<'_, R, J>) -> Out,
     {
-        let start = round * plan.batch_size();
-        let indices = start..start + plan.batch_size();
-        let mut acc = collector.empty();
-        match self.mode {
-            ExecMode::Serial => {
-                for i in indices {
-                    match attempt_replication(plan, i, pool, task, validate, retry) {
-                        Ok(value) => {
-                            collector.accumulate(plan, &mut acc, plan.replication(i), value);
-                            *completed += 1;
-                        }
-                        Err(err) => record_or_propagate(err, strict, failed),
-                    }
-                }
-            }
-            ExecMode::Parallel => {
-                let outcomes: Vec<Result<T, Box<TaskError>>> = indices
-                    .into_par_iter()
-                    .map(|i| attempt_replication(plan, i, pool, task, validate, retry))
-                    .collect();
-                for (offset, outcome) in outcomes.into_iter().enumerate() {
-                    let rep = plan.replication(start + offset as u32);
-                    match outcome {
-                        Ok(value) => {
-                            collector.accumulate(plan, &mut acc, rep, value);
-                            *completed += 1;
-                        }
-                        Err(err) => record_or_propagate(err, strict, failed),
-                    }
-                }
-            }
+        let threads = match self.mode {
+            ExecMode::Serial => 1,
+            ExecMode::Parallel => rayon::current_num_threads().min(batch as usize),
+        };
+        if threads <= 1 {
+            return body(&Dispatch {
+                job,
+                batch,
+                shared: None,
+                helpers: Vec::new(),
+            });
         }
-        acc
+        let shared = Shared::new(batch, threads as u32);
+        thread::scope(|scope| {
+            // The dispatch exists before the first spawn, so its drop
+            // releases whichever helpers started, however `body` ends.
+            let mut dispatch = Dispatch {
+                job,
+                batch,
+                shared: Some(&shared),
+                helpers: Vec::with_capacity(threads - 1),
+            };
+            for _ in 1..threads {
+                let shared = &shared;
+                match thread::Builder::new().spawn_scoped(scope, move || shared.help(job)) {
+                    Ok(helper) => dispatch.helpers.push(helper.thread().clone()),
+                    Err(_) => break,
+                }
+            }
+            body(&dispatch)
+        })
     }
 
     /// The fixed-plan driver behind both the strict and the budgeted
@@ -1254,44 +1278,44 @@ impl Executor {
     {
         let pool = WorkspacePool::new(&init);
         let started = Instant::now();
-        let mut acc = collector.empty();
-        let mut failed = Vec::new();
-        let mut completed = 0u32;
-        let mut rounds = 0u32;
-        let mut budget_outcome = BudgetOutcome::Completed;
-        while rounds < plan.batches() {
-            if let Some(stop) = policy
-                .budget
-                .stop_reason(started, (rounds + 1) * plan.batch_size())
-            {
-                budget_outcome = stop;
-                break;
+        let job = |i| attempt_replication(plan, i, &pool, &task, &validate, &policy.retry);
+        self.fork(plan.batch_size(), &job, |dispatch| {
+            let mut acc = collector.empty();
+            let mut failed = Vec::new();
+            let mut completed = 0u32;
+            let mut rounds = 0u32;
+            let mut budget_outcome = BudgetOutcome::Completed;
+            while rounds < plan.batches() {
+                if let Some(stop) = policy
+                    .budget
+                    .stop_reason(started, (rounds + 1) * plan.batch_size())
+                {
+                    budget_outcome = stop;
+                    break;
+                }
+                let partial = round_accum(
+                    dispatch,
+                    plan,
+                    rounds,
+                    collector,
+                    strict,
+                    &mut completed,
+                    &mut failed,
+                );
+                collector.merge(&mut acc, partial);
+                rounds += 1;
             }
-            let partial = self.round_accum(
+            finish_partial(
                 plan,
-                rounds,
-                &pool,
-                &task,
                 collector,
-                &validate,
-                &policy.retry,
-                strict,
-                &mut completed,
-                &mut failed,
-            );
-            collector.merge(&mut acc, partial);
-            rounds += 1;
-        }
-        finish_partial(
-            plan,
-            collector,
-            acc,
-            rounds,
-            completed,
-            failed,
-            budget_outcome,
-            None,
-        )
+                acc,
+                rounds,
+                completed,
+                failed,
+                budget_outcome,
+                None,
+            )
+        })
     }
 
     /// The adaptive driver behind both the strict and the budgeted
@@ -1320,58 +1344,58 @@ impl Executor {
     {
         let pool = WorkspacePool::new(&init);
         let started = Instant::now();
+        let job = |i| attempt_replication(plan, i, &pool, &task, &validate, &policy.retry);
         let batch = plan.batch_size();
         let max_rounds = (rule.max_replications / batch).max(1);
         let min_rounds = rule.min_replications.div_ceil(batch).clamp(1, max_rounds);
-        let mut acc = collector.empty();
-        let mut failed = Vec::new();
-        let mut completed = 0u32;
-        let mut rounds = 0u32;
-        let mut precision = None;
-        let mut budget_outcome = BudgetOutcome::RuleCapped;
-        while rounds < max_rounds {
-            if let Some(stop) = policy
-                .budget
-                .stop_reason(started, (rounds + 1).saturating_mul(batch))
-            {
-                budget_outcome = stop;
-                break;
-            }
-            let partial = self.round_accum(
-                plan,
-                rounds,
-                &pool,
-                &task,
-                collector,
-                &validate,
-                &policy.retry,
-                strict,
-                &mut completed,
-                &mut failed,
-            );
-            collector.merge(&mut acc, partial);
-            rounds += 1;
-            if rounds < min_rounds {
-                continue;
-            }
-            precision = monitor(&acc, completed);
-            if let Some(p) = &precision {
-                if rule.is_met(p) {
-                    budget_outcome = BudgetOutcome::PrecisionMet;
+        self.fork(batch, &job, |dispatch| {
+            let mut acc = collector.empty();
+            let mut failed = Vec::new();
+            let mut completed = 0u32;
+            let mut rounds = 0u32;
+            let mut precision = None;
+            let mut budget_outcome = BudgetOutcome::RuleCapped;
+            while rounds < max_rounds {
+                if let Some(stop) = policy
+                    .budget
+                    .stop_reason(started, (rounds + 1).saturating_mul(batch))
+                {
+                    budget_outcome = stop;
                     break;
                 }
+                let partial = round_accum(
+                    dispatch,
+                    plan,
+                    rounds,
+                    collector,
+                    strict,
+                    &mut completed,
+                    &mut failed,
+                );
+                collector.merge(&mut acc, partial);
+                rounds += 1;
+                if rounds < min_rounds {
+                    continue;
+                }
+                precision = monitor(&acc, completed);
+                if let Some(p) = &precision {
+                    if rule.is_met(p) {
+                        budget_outcome = BudgetOutcome::PrecisionMet;
+                        break;
+                    }
+                }
             }
-        }
-        finish_partial(
-            plan,
-            collector,
-            acc,
-            rounds,
-            completed,
-            failed,
-            budget_outcome,
-            precision,
-        )
+            finish_partial(
+                plan,
+                collector,
+                acc,
+                rounds,
+                completed,
+                failed,
+                budget_outcome,
+                precision,
+            )
+        })
     }
 
     /// Runs every replication of `plan` through `task`, returning the
@@ -1720,18 +1744,209 @@ impl<'i, W, I: Fn() -> W> WorkspacePool<'i, W, I> {
         // A poisoned free list only means some thread panicked while
         // *pushing or popping* (the lock is never held across a task);
         // the workspaces inside are intact, so keep serving them.
-        let checked_out = self
-            .free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
+        let checked_out = lock(&self.free).pop();
         let mut ws = checked_out.unwrap_or_else(|| (self.init)());
         let out = f(&mut ws);
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(ws);
+        lock(&self.free).push(ws);
         out
+    }
+}
+
+/// Locks `mutex`, ignoring poison: every mutex in this module guards
+/// data that stays consistent when a holder unwinds (a free list, or a
+/// chunk's outcomes that the unwinding run discards).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A parallel round is cut into at most this many chunks per thread:
+/// enough to balance uneven replications, few enough that claiming stays
+/// cheap next to a round of sub-microsecond tasks.
+const CHUNKS_PER_THREAD: u32 = 8;
+
+/// The calling thread's handle on one run's rounds, built by
+/// [`Executor::fork`]: `job(i)` runs local replication `i`, either right
+/// here (`shared` is `None`) or on whichever of the run's threads claims
+/// its chunk.
+struct Dispatch<'a, R, J> {
+    job: &'a J,
+    batch: u32,
+    shared: Option<&'a Shared<R>>,
+    helpers: Vec<Thread>,
+}
+
+impl<R, J: Fn(u32) -> R> Dispatch<'_, R, J> {
+    /// Runs round `round` and hands every replication's local index and
+    /// outcome to `sink`, in replication order. A panic that escaped a
+    /// replication on any thread is re-raised here, with its own payload,
+    /// once the outcomes before it have been handed over.
+    fn round(&self, round: u32, mut sink: impl FnMut(u32, R)) {
+        let start = round * self.batch;
+        let Some(shared) = self.shared else {
+            for i in start..start + self.batch {
+                sink(i, (self.job)(i));
+            }
+            return;
+        };
+        shared.publish(round);
+        for helper in &self.helpers {
+            helper.unpark();
+        }
+        shared.work(self.job);
+        while shared.finished.load(Ordering::Acquire) < shared.chunks {
+            thread::park();
+        }
+        for (slot, first) in shared
+            .slots
+            .iter()
+            .zip((start..).step_by(shared.chunk as usize))
+        {
+            let mut slot = lock(slot);
+            for (outcome, i) in slot.out.drain(..).zip(first..) {
+                sink(i, outcome);
+            }
+            if let Some(payload) = slot.panic.take() {
+                resume_unwind(payload);
+            }
+        }
+    }
+}
+
+impl<R, J> Drop for Dispatch<'_, R, J> {
+    /// Releases the helpers when the run returns or unwinds, so
+    /// `thread::scope` never waits on a parked helper.
+    fn drop(&mut self) {
+        if let Some(shared) = self.shared {
+            shared.released.store(true, Ordering::Release);
+            for helper in &self.helpers {
+                helper.unpark();
+            }
+        }
+    }
+}
+
+/// What the calling thread and the helpers of one parallel run share.
+///
+/// Every round of a run has the same geometry: `chunks` chunks of
+/// `chunk` replications (the last may be shorter). `claim` holds the
+/// published round plus one in its high half and the next unclaimed
+/// chunk in its low half, and a thread claims a chunk by
+/// compare-exchanging the whole word, so a helper still busy with an old
+/// round can never claim, or skip, a chunk of a newer one.
+///
+/// Orderings: the `Release` store that publishes a round pairs with the
+/// `Acquire` claims, so a claimer sees that round's reset `finished`;
+/// the `AcqRel` increment of `finished` after a chunk's outcomes are in
+/// its slot pairs with the calling thread's `Acquire` load before it
+/// drains; `released` is stored `Release` and loaded `Acquire`.
+struct Shared<R> {
+    batch: u32,
+    chunk: u32,
+    chunks: u32,
+    claim: AtomicU64,
+    /// Chunks of the published round whose outcomes are in their slot.
+    finished: AtomicU32,
+    released: AtomicBool,
+    slots: Vec<Mutex<Slot<R>>>,
+    caller: Thread,
+}
+
+/// One chunk's outcomes in replication order, and the payload of a panic
+/// that escaped one of its replications (an output validator runs
+/// outside the per-replication catch).
+struct Slot<R> {
+    out: Vec<R>,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<R> Shared<R> {
+    /// Cuts rounds of `batch` replications for `threads` threads, at most
+    /// [`CHUNKS_PER_THREAD`] chunks per thread, with every chunk's result
+    /// buffer reserved up front. Created on the calling thread.
+    fn new(batch: u32, threads: u32) -> Self {
+        let chunk = batch.div_ceil(threads.saturating_mul(CHUNKS_PER_THREAD));
+        let chunks = batch.div_ceil(chunk);
+        Shared {
+            batch,
+            chunk,
+            chunks,
+            // Round "minus one", fully claimed: nothing to do yet.
+            claim: AtomicU64::new(u64::from(chunks)),
+            finished: AtomicU32::new(0),
+            released: AtomicBool::new(false),
+            slots: (0..chunks)
+                .map(|_| {
+                    Mutex::new(Slot {
+                        out: Vec::with_capacity(chunk as usize),
+                        panic: None,
+                    })
+                })
+                .collect(),
+            caller: thread::current(),
+        }
+    }
+
+    /// Opens `round` for claiming. Only called once every chunk of the
+    /// previous round has finished and been drained.
+    fn publish(&self, round: u32) {
+        self.finished.store(0, Ordering::Relaxed);
+        self.claim
+            .store((u64::from(round) + 1) << 32, Ordering::Release);
+    }
+
+    /// Claims and runs chunks of the published round until none is left
+    /// unclaimed. A panic escaping a chunk is caught and kept in the
+    /// chunk's slot; whoever finishes a round's last chunk wakes the
+    /// calling thread.
+    fn work(&self, job: &impl Fn(u32) -> R) {
+        loop {
+            let claim = self.claim.load(Ordering::Acquire);
+            let chunk = claim as u32;
+            if chunk >= self.chunks {
+                return;
+            }
+            if self
+                .claim
+                .compare_exchange_weak(claim, claim + 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_err()
+            {
+                continue;
+            }
+            let round = (claim >> 32) as u32 - 1;
+            let first = round * self.batch + chunk * self.chunk;
+            let end = first
+                .saturating_add(self.chunk)
+                .min((round + 1) * self.batch);
+            {
+                let mut slot = lock(&self.slots[chunk as usize]);
+                let slot = &mut *slot;
+                // AssertUnwindSafe: outcomes pushed before a panic stay
+                // valid and are drained ahead of the re-raised payload.
+                if let Err(payload) =
+                    catch_unwind(AssertUnwindSafe(|| slot.out.extend((first..end).map(job))))
+                {
+                    slot.panic = Some(payload);
+                }
+            }
+            // When the calling thread finished the last chunk itself, this
+            // leaves it a wake-up token; that only makes a later `park`
+            // return early, which every park loop here re-checks.
+            if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == self.chunks {
+                self.caller.unpark();
+            }
+        }
+    }
+
+    /// A helper's life: work every published round, park in between,
+    /// return once released.
+    fn help(&self, job: &impl Fn(u32) -> R) {
+        loop {
+            self.work(job);
+            if self.released.load(Ordering::Acquire) {
+                return;
+            }
+            thread::park();
+        }
     }
 }
 

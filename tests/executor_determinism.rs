@@ -11,13 +11,21 @@ use diversify::core::pipeline::{Pipeline, PipelineConfig};
 use diversify::core::runner::measure_configuration_with;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 use diversify_bench::{run_all, Scale};
+use diversify_des::exec::{MeanCollector, Replication, StopRule, VecCollector};
+use diversify_des::{RngStream, StreamId};
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::thread::{self, ThreadId};
+
+/// The thread count the parallel tests force.
+const WORKER_THREADS: usize = 4;
 
 /// Forces real worker threads even on single-core CI machines so the
-/// parallel scheduling path is actually exercised (the rayon shim honors
-/// `RAYON_NUM_THREADS` like upstream).
+/// parallel scheduling path is actually exercised (the executor reads
+/// `RAYON_NUM_THREADS` like upstream rayon).
 fn force_worker_threads() {
     static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
+    ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", WORKER_THREADS.to_string()));
 }
 
 /// The determinism property: the same plan produces bit-identical
@@ -143,4 +151,52 @@ fn quick_scale_experiment_suite_runs() {
     for step in ["Step 1", "Step 2", "Step 3"] {
         assert!(pipeline_out.contains(step), "missing {step}");
     }
+}
+
+/// A parallel run forks its helpers once, not once per round: across
+/// every round of a 64-round `run_ws` and of a 40-round adaptive run, at
+/// most `RAYON_NUM_THREADS` distinct threads run tasks, and both results
+/// stay bit-identical to the serial executor.
+#[test]
+fn parallel_runs_fork_once_per_run() {
+    force_worker_threads();
+    let draw = |rep: Replication| {
+        let mut rng = RngStream::new(rep.seed, StreamId(3));
+        rng.uniform() + rng.uniform()
+    };
+    let seen = Mutex::new(HashSet::<ThreadId>::new());
+    let traced = |(): &mut (), rep: Replication| {
+        seen.lock().unwrap().insert(thread::current().id());
+        draw(rep)
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let plan = ReplicationPlan::new(64, 25, 0xF0_4C);
+    let parallel: Vec<f64> = Executor::parallel().run_ws(&plan, || (), traced, &VecCollector);
+    let threads = std::mem::take(&mut *seen.lock().unwrap()).len();
+    assert!(
+        threads <= WORKER_THREADS,
+        "{threads} threads ran the tasks of one 64-round run"
+    );
+    assert_eq!(bits(&parallel), bits(&Executor::serial().run(&plan, draw)));
+
+    let base = ReplicationPlan::new(1, 25, 0xADA);
+    let never_met = StopRule::relative(1e-12, 25, 40 * 25);
+    let adaptive = Executor::parallel().run_adaptive_ws(
+        &base,
+        &never_met,
+        || (),
+        traced,
+        &MeanCollector,
+        |_, _| None,
+    );
+    assert_eq!(adaptive.rounds, 40);
+    let threads = seen.lock().unwrap().len();
+    assert!(
+        threads <= WORKER_THREADS,
+        "{threads} threads ran the tasks of one 40-round adaptive run"
+    );
+    let serial =
+        Executor::serial().run_adaptive(&base, &never_met, draw, &MeanCollector, |_, _| None);
+    assert_eq!(adaptive.output.to_bits(), serial.output.to_bits());
 }

@@ -15,13 +15,17 @@ use diversify_des::exec::{
     accept_all, Budget, BudgetOutcome, CancelToken, Executor, FailureCause, ReplicationPlan,
     RetryPolicy, RunPolicy, VecCollector,
 };
-use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan};
+use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan, InjectedPanic};
 use diversify_des::{RngStream, StreamId};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Forces real worker threads even on single-core CI machines so the
-/// parallel panic-isolation path is actually exercised (the rayon shim
-/// honors `RAYON_NUM_THREADS` like upstream).
+/// parallel panic-isolation path is actually exercised (the executor
+/// reads `RAYON_NUM_THREADS` like upstream rayon).
 fn force_worker_threads() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
@@ -291,4 +295,133 @@ fn accept_all_matches_unchecked_path() {
     );
     assert_eq!(a.output(), b.output());
     assert_eq!(a.completed, b.completed);
+}
+
+/// Runs `f` on its own thread and waits at most ten seconds for it, so a
+/// dispatcher that deadlocks fails the test instead of hanging it.
+fn within_ten_seconds<T: Send + 'static>(
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::Result<T> {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+    });
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the run neither returned nor panicked within 10 s");
+    runner.join().expect("the runner catches every panic");
+    outcome
+}
+
+/// A validator runs outside the per-replication catch, so its panic
+/// escapes the replication. When it escapes on a helper thread in a
+/// later round, the calling thread must re-raise exactly that payload
+/// and the run must not hang.
+#[test]
+fn helper_panic_reaches_the_caller_with_its_own_payload() {
+    force_worker_threads();
+    silence_injected_panics();
+    let outcome = within_ten_seconds(|| {
+        let caller = std::thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        let plan = ReplicationPlan::new(4, 16, 0xFA11);
+        let first_late = 2 * plan.batch_size();
+        Executor::parallel()
+            .run_ws_checked(
+                &plan,
+                || (),
+                |(): &mut (), rep| {
+                    if rep.index >= first_late {
+                        if std::thread::current().id() == caller {
+                            // Hold the calling thread until a helper has
+                            // run part of this round.
+                            let give_up = Instant::now() + Duration::from_secs(5);
+                            while !helper_ran.load(Ordering::Acquire) && Instant::now() < give_up {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        } else {
+                            helper_ran.store(true, Ordering::Release);
+                        }
+                    }
+                    rep.index
+                },
+                &VecCollector,
+                &RunPolicy::new(),
+                |&index: &u32| {
+                    if index >= first_late && std::thread::current().id() != caller {
+                        std::panic::panic_any(InjectedPanic { index });
+                    }
+                    true
+                },
+            )
+            .completed
+    });
+    let payload = outcome.expect_err("the validator panicked on a helper");
+    let injected = payload
+        .downcast_ref::<InjectedPanic>()
+        .expect("the caller re-raises the validator's own payload");
+    assert!(injected.index >= 32, "only rounds 2 and 3 panic");
+}
+
+/// The parallel twin of the serial-only unit test
+/// `strict_run_ws_still_propagates_panics`: a task panic in round 3 of a
+/// six-round run re-raises its own payload on the calling thread.
+#[test]
+fn parallel_strict_run_ws_propagates_a_round_3_panic() {
+    force_worker_threads();
+    silence_injected_panics();
+    let outcome = within_ten_seconds(|| {
+        let plan = ReplicationPlan::new(6, 8, 1);
+        let _: Vec<u32> = Executor::parallel().run_ws(
+            &plan,
+            || (),
+            |(): &mut (), rep| {
+                if rep.index == 3 * 8 + 5 {
+                    std::panic::panic_any(InjectedPanic { index: rep.index });
+                }
+                rep.index
+            },
+            &VecCollector,
+        );
+    });
+    let payload = outcome.expect_err("a strict run re-raises the task's panic");
+    assert_eq!(
+        payload.downcast_ref::<InjectedPanic>(),
+        Some(&InjectedPanic { index: 29 })
+    );
+}
+
+/// The parallel twin of the serial-only unit test
+/// `cancellation_stops_at_the_next_round_boundary`: a cancel from inside
+/// round 2 lets that round finish, then stops the run after exactly two
+/// rounds, bit-identical to the two-batch plan.
+#[test]
+fn parallel_cancellation_stops_at_the_next_round_boundary() {
+    force_worker_threads();
+    let (run, fixed) = within_ten_seconds(|| {
+        let plan = ReplicationPlan::new(10, 4, 5);
+        let token = CancelToken::new();
+        let cancel_from_task = token.clone();
+        let policy = RunPolicy::new().with_budget(Budget::unlimited().with_cancel(&token));
+        let run = Executor::parallel().run_ws_budgeted(
+            &plan,
+            || (),
+            move |(): &mut (), rep| {
+                if rep.index == 5 {
+                    cancel_from_task.cancel();
+                }
+                draw(rep.seed)
+            },
+            &VecCollector,
+            &policy,
+        );
+        let fixed: Vec<f64> = Executor::serial().run(&plan.with_batches(2), |rep| draw(rep.seed));
+        (run, fixed)
+    })
+    .expect("no replication panics");
+    assert_eq!(run.budget_outcome, BudgetOutcome::Cancelled);
+    assert_eq!(run.rounds, 2);
+    assert_eq!(run.completed, 8);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(run.output.as_ref().unwrap()), bits(&fixed));
 }
