@@ -41,9 +41,7 @@
 use crate::exploit::ExploitCatalog;
 use crate::frontier::ActiveSet;
 use crate::stage::{AttackStage, NodeCompromise};
-use diversify_des::{
-    derive_seed, Executor, PartialRun, ReplicationPlan, RngStream, RunPolicy, StreamId,
-};
+use diversify_des::{derive_seed, Executor, ReplicationPlan, RngStream, StreamId};
 use diversify_scada::components::ComponentProfile;
 use diversify_scada::network::{NodeId, NodeRole, ScadaNetwork, Topology, Zone};
 use diversify_scada::ProtocolDialect;
@@ -211,7 +209,7 @@ impl CampaignStats {
     }
 
     /// Whether every numeric field is finite and in range — the
-    /// validator the budgeted measurement paths use to reject corrupted
+    /// validator fault-tolerant measurement runs use to reject corrupted
     /// replications before they poison a streaming aggregate. The
     /// simulator produces only finite ratios in `[0, 1]` by
     /// construction, so a rejection always indicates a fault.
@@ -1539,30 +1537,6 @@ impl<'n> CampaignSimulator<'n> {
             },
         }
     }
-
-    /// The fault-tolerant form of [`CampaignSimulator::run_plan`]: runs
-    /// the plan under a [`RunPolicy`] (panic isolation, deterministic
-    /// retry, budget with cooperative cancellation) and returns a
-    /// [`PartialRun`] over the outcomes that completed. Each surviving
-    /// outcome is bit-identical to the same replication of a fault-free
-    /// `run_plan`, and outcomes whose statistics are non-finite are
-    /// rejected as invalid rather than returned.
-    #[must_use]
-    pub fn run_plan_budgeted(
-        &self,
-        plan: &ReplicationPlan,
-        executor: Executor,
-        policy: &RunPolicy,
-    ) -> PartialRun<Vec<CampaignOutcome>> {
-        executor.run_ws_checked(
-            plan,
-            || (),
-            |(): &mut (), rep| self.run(rep.seed),
-            &diversify_des::exec::VecCollector,
-            policy,
-            |outcome: &CampaignOutcome| outcome.stats().is_finite(),
-        )
-    }
 }
 
 /// Stream namespace [`CampaignSimulator::run_many`] has always derived
@@ -1634,20 +1608,32 @@ mod tests {
 
     #[test]
     fn budgeted_plan_matches_plain_plan_and_truncates_cleanly() {
-        use diversify_des::{Budget, RunPolicy};
+        use diversify_des::exec::VecCollector;
+        use diversify_des::{Budget, RunPolicy, RunSpec};
         let net = scope_network();
         let sim =
             CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
         let plan = ReplicationPlan::new(4, 5, 77).with_namespace(CAMPAIGN_RUN_NAMESPACE);
+        // The fault-tolerant form of `run_plan`: non-finite statistics
+        // are rejected as invalid rather than returned.
+        let run_budgeted = |policy: &RunPolicy| {
+            Executor::serial().execute(
+                &RunSpec::new(&plan).with_policy(policy),
+                || (),
+                |(): &mut (), rep| sim.run(rep.seed),
+                &VecCollector,
+                |outcome: &CampaignOutcome| outcome.stats().is_finite(),
+            )
+        };
         // Unbudgeted policy: identical to run_plan.
         let plain = sim.run_plan(&plan, Executor::serial());
-        let run = sim.run_plan_budgeted(&plan, Executor::serial(), &RunPolicy::new());
+        let run = run_budgeted(&RunPolicy::new());
         assert!(!run.is_degraded());
         assert_eq!(run.output.as_ref(), Some(&plain));
         // A 12-replication budget affords 2 rounds of 5; the result is
         // the exact prefix.
         let policy = RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(12));
-        let truncated = sim.run_plan_budgeted(&plan, Executor::serial(), &policy);
+        let truncated = run_budgeted(&policy);
         assert_eq!(truncated.completed, 10);
         assert_eq!(truncated.output.as_ref().map(Vec::len), Some(10));
         assert_eq!(truncated.output.as_ref().unwrap()[..], plain[..10]);

@@ -24,9 +24,9 @@ use diversify_bench::{
     campaign_workspace_summary, san_throughput_events, scope_campaign_san,
 };
 use diversify_core::exec::{
-    campaign_plan, Executor, IndicatorsCollector, ReplicationPlan, RunPolicy,
+    accept_all, campaign_plan, Executor, IndicatorsCollector, ReplicationPlan, RunPolicy, RunSpec,
 };
-use diversify_core::runner::{measure_configuration_adaptive, PrecisionTarget};
+use diversify_core::runner::{measure_configuration_run, PrecisionTarget};
 use diversify_san::Engine;
 use diversify_scada::fleet::{FleetConfig, FleetSystem};
 use diversify_scada::scope::{ScopeConfig, ScopeSystem};
@@ -114,12 +114,12 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 Executor::default()
-                    .run_ws_budgeted(
-                        &campaign_plan_full,
+                    .execute(
+                        &RunSpec::new(&campaign_plan_full).with_policy(&unlimited),
                         || campaign_sim.workspace(),
                         |ws, rep| campaign_sim.run_into(ws, rep.seed),
                         &IndicatorsCollector,
-                        &unlimited,
+                        accept_all,
                     )
                     .output,
             )
@@ -146,27 +146,29 @@ fn bench_engine(c: &mut Criterion) {
     };
     let target = PrecisionTarget::p_success(0.05, 20, 120);
     let plan = campaign_plan(1, 10, 31);
-    let probe = measure_configuration_adaptive(
+    let probe = measure_configuration_run(
         &net,
         &threat,
         campaign,
         &plan,
         Executor::default(),
-        &target,
+        Some(&target),
+        None,
     );
     println!(
-        "measure_adaptive workload: {} replications to rel. half-width 0.05 (met: {})",
-        probe.replications, probe.target_met
+        "measure_adaptive workload: {} replications to rel. half-width 0.05 (outcome: {})",
+        probe.attempted, probe.budget_outcome
     );
     g.bench_function("measure_adaptive", |b| {
         b.iter(|| {
-            black_box(measure_configuration_adaptive(
+            black_box(measure_configuration_run(
                 black_box(&net),
                 &threat,
                 campaign,
                 &plan,
                 Executor::default(),
-                &target,
+                Some(&target),
+                None,
             ))
         })
     });

@@ -16,10 +16,12 @@
 //!
 //! With `--harden-guard`, the binary times the campaign replication
 //! workload on the hardened executor paths and exits non-zero if the
-//! explicitly budgeted path costs more than `harden-factor ×` (default
-//! 1.05, i.e. 5%) the strict path measured in the same process, or if
-//! the strict path itself drifts past `guard-factor ×` the
-//! `campaign_replication_throughput_us` recorded in the baseline.
+//! explicitly budgeted path (`Executor::execute` with an unlimited
+//! `RunPolicy` in its `RunSpec`) costs more than `harden-factor ×`
+//! (default 1.05, i.e. 5%) the strict path (`Executor::run_ws`) measured
+//! in the same process, or if the strict path itself drifts past
+//! `guard-factor ×` the `campaign_replication_throughput_us` recorded in
+//! the baseline.
 
 use diversify_bench::{hardened_overhead_probe, run_all, Scale};
 use std::time::Instant;

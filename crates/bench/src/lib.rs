@@ -22,11 +22,14 @@ use diversify_attack::to_san::{
     compile_machine_chain, compile_stage_chain, success_place, StageParams,
 };
 use diversify_attack::tree::stuxnet_tree;
-use diversify_core::exec::{campaign_plan, Executor, IndicatorsCollector, ReplicationPlan};
+use diversify_core::exec::{
+    accept_all, campaign_plan, BudgetOutcome, Executor, IndicatorsCollector, ReplicationPlan,
+    RunSpec,
+};
 use diversify_core::pipeline::{Pipeline, PipelineConfig};
 use diversify_core::report::render_series;
 use diversify_core::runner::{
-    measure_configuration_adaptive, measure_configuration_with, PrecisionTarget,
+    measure_configuration_run, measure_configuration_with, PrecisionTarget,
 };
 use diversify_des::SimTime;
 use diversify_diversity::config::DiversityConfig;
@@ -413,7 +416,7 @@ pub fn r8_formalisms(scale: Scale) -> String {
 }
 
 /// R9 — adaptive-precision replication: fixed replication budget vs
-/// [`measure_configuration_adaptive`] with a relative CI half-width
+/// [`measure_configuration_run`] with a relative CI half-width
 /// target of 0.05 on P_SA (95% Wilson), on two SCoPE design points. The
 /// low-variance monoculture point reaches the target in a fraction of
 /// the fixed budget; the diversified point spends its replications where
@@ -476,25 +479,31 @@ pub fn r9_adaptive(scale: Scale) -> String {
         );
 
         let start = std::time::Instant::now();
-        let adaptive = measure_configuration_adaptive(
+        let adaptive = measure_configuration_run(
             &net,
             &threat,
             campaign,
             &campaign_plan(1, batch, 31),
             Executor::default(),
-            &target,
+            Some(&target),
+            None,
         );
         let adaptive_ms = start.elapsed().as_secs_f64() * 1e3;
         let hw = adaptive.precision.map_or(f64::NAN, |p| p.half_width);
+        let p_success = adaptive
+            .output
+            .as_ref()
+            .map_or(f64::NAN, |m| m.summary.p_success);
+        let met = adaptive.budget_outcome == BudgetOutcome::PrecisionMet;
         let _ = writeln!(
             out,
             "{name:<16} {:<9} {:>5} {:>8.3} {:>10.4} {:>9.2} {:>5}",
             "adaptive",
-            adaptive.replications,
-            adaptive.output.summary.p_success,
+            adaptive.attempted,
+            p_success,
             hw,
             adaptive_ms,
-            if adaptive.target_met { "yes" } else { "cap" }
+            if met { "yes" } else { "cap" }
         );
     }
     out
@@ -823,17 +832,17 @@ pub fn campaign_alloc_reference_summary(
 /// What [`hardened_overhead_probe`] measured: per-replication wall time
 /// of the campaign replication workload on the strict workspace path
 /// (`run_ws` — itself routed through the hardened executor core) and on
-/// the explicitly budgeted path (`run_ws_budgeted` with an unlimited
-/// [`RunPolicy`](diversify_core::exec::RunPolicy)), plus the ratio
-/// between them. Both paths fold bit-identical summaries; the probe
-/// asserts it.
+/// the explicitly budgeted path (`Executor::execute` with an unlimited
+/// [`RunPolicy`](diversify_core::exec::RunPolicy) in its
+/// [`RunSpec`]), plus the ratio between them. Both paths fold
+/// bit-identical summaries; the probe asserts it.
 #[derive(Debug, Clone, Copy)]
 pub struct HardenedOverhead {
     /// Replications per timed pass.
     pub replications: u32,
     /// Strict (`run_ws`) per-replication microseconds.
     pub strict_us: f64,
-    /// Budgeted (`run_ws_budgeted`) per-replication microseconds.
+    /// Budgeted (`execute` under a policy) per-replication microseconds.
     pub budgeted_us: f64,
 }
 
@@ -868,6 +877,15 @@ pub fn hardened_overhead_probe(scale: Scale, passes: u32) -> HardenedOverhead {
     let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
     let plan = ReplicationPlan::flat(reps, 17).with_namespace(CAMPAIGN_RUN_NAMESPACE);
     let policy = RunPolicy::new();
+    let budgeted = || {
+        Executor::default().execute(
+            &RunSpec::new(&plan).with_policy(&policy),
+            || sim.workspace(),
+            |ws, rep| sim.run_into(ws, rep.seed),
+            &IndicatorsCollector,
+            accept_all,
+        )
+    };
     let time_one = |f: &dyn Fn() -> diversify_core::indicators::IndicatorSummary| -> f64 {
         let start = std::time::Instant::now();
         let out = f();
@@ -877,13 +895,7 @@ pub fn hardened_overhead_probe(scale: Scale, passes: u32) -> HardenedOverhead {
     };
     // Warm both paths once (sizes workspace pools and lazy state).
     let strict_out = campaign_workspace_summary(&sim, &plan, Executor::default());
-    let budgeted_run = Executor::default().run_ws_budgeted(
-        &plan,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &IndicatorsCollector,
-        &policy,
-    );
+    let budgeted_run = budgeted();
     let budgeted_out = budgeted_run.output().expect("unbudgeted run completes");
     assert_eq!(
         strict_out.p_success.to_bits(),
@@ -896,16 +908,7 @@ pub fn hardened_overhead_probe(scale: Scale, passes: u32) -> HardenedOverhead {
             campaign_workspace_summary(&sim, &plan, Executor::default())
         }));
         budgeted_best = budgeted_best.min(time_one(&|| {
-            Executor::default()
-                .run_ws_budgeted(
-                    &plan,
-                    || sim.workspace(),
-                    |ws, rep| sim.run_into(ws, rep.seed),
-                    &IndicatorsCollector,
-                    &policy,
-                )
-                .output
-                .expect("unbudgeted run completes")
+            budgeted().output.expect("unbudgeted run completes")
         }));
     }
     HardenedOverhead {

@@ -34,6 +34,12 @@ pub enum PipelineError {
         /// How the cell's budget ended.
         outcome: BudgetOutcome,
     },
+    /// A caller-supplied design row does not hold exactly one coded
+    /// level, −1 or +1, per component class.
+    InvalidDesignRow {
+        /// The design-run index (0-based).
+        run: usize,
+    },
     /// A statistical stage failed (degenerate variance, insufficient
     /// data, …).
     Stats(StatsError),
@@ -55,6 +61,10 @@ impl std::fmt::Display for PipelineError {
                 f,
                 "design run {run} completed zero replications (budget outcome: {outcome}); the \
                  factorial design cannot tolerate an empty cell"
+            ),
+            PipelineError::InvalidDesignRow { run } => write!(
+                f,
+                "design run {run} must hold one coded level (-1 or +1) per component class"
             ),
             PipelineError::Stats(err) => write!(f, "{err}"),
         }

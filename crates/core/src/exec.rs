@@ -14,19 +14,22 @@
 //! the stats themselves (the allocation-free workspace path behind
 //! `Executor::run_ws`).
 //!
-//! This is the single seam every replication loop in the workspace goes
-//! through: `core::runner::measure_configuration` (and its adaptive
-//! variant), the [`Pipeline`](crate::pipeline::Pipeline) design-point
-//! sweep, `des::replication::ReplicationRunner`, the attack-crate
-//! Monte-Carlo helpers, and the bench experiments all build a plan and
-//! hand it to an executor. Collectors are mergeable folds, so the same
-//! code path serves fixed plans, parallel partial aggregation, and
-//! [`Executor::run_adaptive`] precision-targeted runs.
+//! This is the seam every replication loop in the workspace goes
+//! through: the `core::runner` measurements, the
+//! [`Pipeline`](crate::pipeline::Pipeline) design-point sweep, the
+//! serve crate's shard workers, the attack-crate Monte-Carlo helpers,
+//! splitting levels and the bench experiments all build a plan and hand
+//! it to an executor. The one exception is the SAN transient solver's
+//! own two loops (`TransientSolver::solve` and `solve_budgeted`), which
+//! keep their additive seed schedule and a per-replication budget.
+//! Collectors are mergeable folds, so the same code path serves fixed
+//! plans, parallel partial aggregation, and precision-targeted runs
+//! ([`Executor::execute`] with a [`RunSpec`]).
 
 pub use diversify_des::exec::{
-    accept_all, AdaptiveRun, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor,
-    FailureCause, MeanCollector, PartialRun, PlanError, Precision, Replication, ReplicationFailure,
-    ReplicationPlan, Reseed, RetryPolicy, RunPolicy, StopRule, VecCollector,
+    accept_all, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause,
+    MeanCollector, Monitor, PartialRun, PlanError, Precision, Replication, ReplicationFailure,
+    ReplicationPlan, Reseed, RetryPolicy, RunPolicy, RunSpec, StopRule, VecCollector,
     DEFAULT_STREAM_NAMESPACE,
 };
 pub use diversify_des::faults::{FaultKind, FaultPlan, InjectedPanic};
@@ -70,7 +73,7 @@ pub struct MeasurementsAccum {
 /// Running per-batch state: the counters batch means derive from.
 /// `count` tracks how many replications actually folded into the batch —
 /// equal to the plan's batch size on a fault-free run, smaller when the
-/// budgeted paths skipped failed replications, so batch means stay
+/// a fault-tolerant run skipped failed replications, so batch means stay
 /// means over *completed* replications instead of silently deflating.
 #[derive(Debug, Clone, Copy)]
 struct BatchAccum {
@@ -208,7 +211,7 @@ where
             .collect();
         Measurements {
             // The executor never calls `finish` on an empty fold
-            // (budgeted paths return `output: None` instead), so the
+            // (a run that completed nothing returns `output: None`), so the
             // accumulator holds at least one replication here.
             #[allow(clippy::disallowed_methods)]
             summary: acc

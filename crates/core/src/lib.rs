@@ -22,7 +22,7 @@
 //! **compromised ratio** — aggregated by streaming, mergeable
 //! accumulators, so measurement can run under a fixed replication budget
 //! or adaptively until a precision target is met
-//! ([`runner::measure_configuration_adaptive`],
+//! ([`runner::measure_configuration_run`],
 //! [`PipelineConfig::precision`](pipeline::PipelineConfig::precision)),
 //! or — for design points whose P_SA is too rare for plain Monte-Carlo —
 //! by multilevel splitting over campaign milestones
@@ -56,8 +56,8 @@ pub use content::ContentKey;
 pub use diversify_attack::campaign::MilestonePlacement;
 pub use error::PipelineError;
 pub use exec::{
-    AdaptiveRun, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, PartialRun,
-    PlanError, Precision, ReplicationFailure, ReplicationPlan, RetryPolicy, RunPolicy, StopRule,
+    Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, PartialRun, PlanError,
+    Precision, ReplicationFailure, ReplicationPlan, RetryPolicy, RunPolicy, RunSpec, StopRule,
 };
 pub use factors::{factor_profile, FactorLevel};
 pub use indicators::{IndicatorAccum, IndicatorSummary, PrecisionResponse};
@@ -65,8 +65,7 @@ pub use pipeline::{
     CellHealth, DoeMeasurements, Pipeline, PipelineConfig, PipelineReport, RareEventTarget,
 };
 pub use runner::{
-    measure_configuration, measure_configuration_adaptive, measure_configuration_adaptive_budgeted,
-    measure_configuration_budgeted, measure_configuration_splitting,
-    measure_configuration_splitting_adaptive, measure_configuration_with, AdaptiveMeasurements,
-    Measurements, PartialMeasurements, PrecisionTarget, SplittingMeasurements,
+    measure_configuration, measure_configuration_run, measure_configuration_splitting,
+    measure_configuration_splitting_adaptive, measure_configuration_with, Measurements,
+    PrecisionTarget, SplittingMeasurements,
 };

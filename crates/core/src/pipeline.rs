@@ -3,16 +3,15 @@
 use crate::content::ContentKey;
 use crate::error::PipelineError;
 use crate::exec::{
-    campaign_plan, BudgetOutcome, Executor, Precision, ReplicationFailure, RunPolicy,
+    campaign_plan, BudgetOutcome, Executor, PartialRun, Precision, ReplicationFailure, RunPolicy,
 };
 use crate::factors::{factor_profile, FactorLevel};
 use crate::report::{
     render_adaptive_table, render_health_table, render_measurement_table, render_rare_event_table,
 };
 use crate::runner::{
-    measure_configuration_adaptive, measure_configuration_adaptive_budgeted,
-    measure_configuration_budgeted, measure_configuration_splitting, measure_configuration_with,
-    Measurements, PartialMeasurements, PrecisionTarget, SplittingMeasurements,
+    measure_configuration_run, measure_configuration_splitting, Measurements, PrecisionTarget,
+    SplittingMeasurements,
 };
 use diversify_attack::campaign::{CampaignConfig, ThreatModel};
 use diversify_attack::to_san::{compile_stage_chain, success_place, StageParams};
@@ -148,12 +147,12 @@ impl CellHealth {
         !self.failures.is_empty() || self.budget_outcome.is_truncation()
     }
 
-    fn from_partial(part: &PartialMeasurements) -> CellHealth {
+    fn of(run: &PartialRun<Measurements>) -> CellHealth {
         CellHealth {
-            attempted: part.attempted,
-            completed: part.completed,
-            failures: part.failed.clone(),
-            budget_outcome: part.budget_outcome,
+            attempted: run.attempted,
+            completed: run.completed,
+            failures: run.failed.clone(),
+            budget_outcome: run.budget_outcome,
         }
     }
 }
@@ -403,7 +402,8 @@ impl Pipeline {
 
     /// [`Pipeline::try_doe_measurements`] over a caller-supplied design
     /// matrix (one coded ±1 level per component class per row) instead
-    /// of the built-in 2^(6−2) fractional factorial.
+    /// of the built-in 2^(6−2) fractional factorial. Every row is checked
+    /// before anything is simulated.
     ///
     /// Design points that decode to **identical plant configurations**
     /// (same profile, threat and campaign — keyed by their
@@ -417,12 +417,19 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// As [`Pipeline::try_doe_measurements`], plus
-    /// [`PipelineError::EmptyDesignPoint`] semantics for budgeted runs.
+    /// As [`Pipeline::try_doe_measurements`] (including
+    /// [`PipelineError::EmptyDesignPoint`] for budgeted runs), plus
+    /// [`PipelineError::InvalidDesignRow`] for a row that does not hold
+    /// exactly one −1 or +1 level per component class.
     pub fn try_doe_measurements_with(
         &self,
         design: DesignMatrix,
     ) -> Result<DoeMeasurements, PipelineError> {
+        for (run, row) in design.rows.iter().enumerate() {
+            if row.len() != ComponentClass::ALL.len() || row.iter().any(|&l| l != -1 && l != 1) {
+                return Err(PipelineError::InvalidDesignRow { run });
+            }
+        }
         // One base plan; every design point gets its own decorrelated
         // sub-plan derived from its run index. Replications inside a run
         // are scheduled by the configured executor.
@@ -494,61 +501,32 @@ impl Pipeline {
             seen.insert(key, run_idx);
             let system = ScopeSystem::build(&scope_cfg);
             let run_plan = base_plan.derived(StreamId(run_idx as u64));
-            match (&target, &mut adaptive, resilience) {
-                (Some(target), Some(points), None) => {
-                    let run = measure_configuration_adaptive(
-                        system.network(),
-                        &self.config.threat,
-                        self.config.campaign,
-                        &run_plan,
-                        self.config.executor,
-                        target,
-                    );
-                    points.push(AdaptiveSweepPoint {
-                        replications: run.replications,
-                        batches: run.rounds,
-                        target_met: run.target_met,
-                        precision: run.precision,
-                    });
-                    measurements.push(run.output);
-                }
-                (Some(target), Some(points), Some(policy)) => {
-                    let part = measure_configuration_adaptive_budgeted(
-                        system.network(),
-                        &self.config.threat,
-                        self.config.campaign,
-                        &run_plan,
-                        self.config.executor,
-                        target,
-                        policy,
-                    );
-                    points.push(AdaptiveSweepPoint {
-                        replications: part.attempted,
-                        batches: part.rounds,
-                        target_met: part.budget_outcome == BudgetOutcome::PrecisionMet,
-                        precision: part.achieved_precision,
-                    });
-                    measurements.push(Self::take_cell(run_idx, part, &mut health)?);
-                }
-                (None, _, Some(policy)) => {
-                    let part = measure_configuration_budgeted(
-                        system.network(),
-                        &self.config.threat,
-                        self.config.campaign,
-                        &run_plan,
-                        self.config.executor,
-                        policy,
-                    );
-                    measurements.push(Self::take_cell(run_idx, part, &mut health)?);
-                }
-                _ => measurements.push(measure_configuration_with(
-                    system.network(),
-                    &self.config.threat,
-                    self.config.campaign,
-                    &run_plan,
-                    self.config.executor,
-                )),
+            let run = measure_configuration_run(
+                system.network(),
+                &self.config.threat,
+                self.config.campaign,
+                &run_plan,
+                self.config.executor,
+                target.as_ref(),
+                resilience,
+            );
+            if let Some(points) = &mut adaptive {
+                points.push(AdaptiveSweepPoint {
+                    replications: run.attempted,
+                    batches: run.rounds,
+                    target_met: run.budget_outcome == BudgetOutcome::PrecisionMet,
+                    precision: run.precision,
+                });
             }
+            if let Some(cells) = &mut health {
+                cells.push(CellHealth::of(&run));
+            }
+            // Only a budget can leave a cell empty: a strict run
+            // re-raises failures and completes every round it starts.
+            measurements.push(run.output.ok_or(PipelineError::EmptyDesignPoint {
+                run: run_idx,
+                outcome: run.budget_outcome,
+            })?);
             if let (Some(rare), Some(points)) = (self.config.rare_event, &mut rare_event) {
                 // The splitting sweep seeds from the design run's derived
                 // plan seed but draws through the splitting engine's own
@@ -571,23 +549,6 @@ impl Pipeline {
             adaptive,
             rare_event,
             health,
-        })
-    }
-
-    /// Unwraps a budgeted cell: records its health and surfaces an empty
-    /// cell (zero completed replications) as
-    /// [`PipelineError::EmptyDesignPoint`].
-    fn take_cell(
-        run_idx: usize,
-        part: PartialMeasurements,
-        health: &mut Option<Vec<CellHealth>>,
-    ) -> Result<Measurements, PipelineError> {
-        if let Some(cells) = health {
-            cells.push(CellHealth::from_partial(&part));
-        }
-        part.measurements.ok_or(PipelineError::EmptyDesignPoint {
-            run: run_idx,
-            outcome: part.budget_outcome,
         })
     }
 
@@ -853,6 +814,29 @@ mod tests {
         // dedup must leave the standard sweep untouched.
         let full = pipeline.try_doe_measurements().expect("standard sweep");
         assert_eq!(full.measurements.len(), 16);
+    }
+
+    #[test]
+    fn malformed_design_rows_are_typed_errors_before_any_simulation() {
+        let labels: Vec<String> = ComponentClass::ALL
+            .iter()
+            .map(|c| c.label().to_string())
+            .collect();
+        let good = vec![1i8, -1, 1, -1, 1, -1];
+        let pipeline = Pipeline::new(tiny_config());
+        for (bad, why) in [
+            (vec![1i8, -1, 1, -1, 1], "a 5-wide row"),
+            (vec![1i8, -1, 0, -1, 1, -1], "a level of 0"),
+        ] {
+            let design = DesignMatrix {
+                factors: labels.clone(),
+                rows: vec![good.clone(), bad],
+            };
+            match pipeline.try_doe_measurements_with(design) {
+                Err(PipelineError::InvalidDesignRow { run }) => assert_eq!(run, 1, "{why}"),
+                other => panic!("{why}: expected InvalidDesignRow, got {other:?}"),
+            }
+        }
     }
 
     #[test]

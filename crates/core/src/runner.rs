@@ -1,17 +1,17 @@
 //! Monte-Carlo measurement of one system configuration, on the unified
 //! [`exec`](crate::exec) layer — fixed replication plans or
 //! adaptive-precision runs that stop once a confidence-interval target
-//! is met.
+//! is met, strict or fault-tolerant.
 
 use crate::error::PipelineError;
 use crate::exec::{
-    campaign_plan, AdaptiveRun, BudgetOutcome, Executor, MeasurementsCollector, PartialRun,
-    Precision, ReplicationFailure, ReplicationPlan, RunPolicy, StopRule,
+    accept_all, campaign_plan, Executor, MeasurementsAccum, MeasurementsCollector, Monitor,
+    PartialRun, Replication, ReplicationPlan, RunPolicy, RunSpec, StopRule,
 };
 use crate::indicators::{IndicatorSummary, PrecisionResponse};
 use diversify_attack::campaign::{
-    CampaignConfig, CampaignMilestone, CampaignSimulator, CampaignStats, MilestonePlacement,
-    ThreatModel,
+    CampaignConfig, CampaignMilestone, CampaignSimulator, CampaignStats, CampaignWorkspace,
+    MilestonePlacement, ThreatModel,
 };
 use diversify_attack::split::CampaignSplitTask;
 use diversify_des::splitting::{LevelSummary, Splitting};
@@ -30,10 +30,6 @@ pub struct Measurements {
     /// Per-batch mean final compromised ratios.
     pub batch_compromised: Vec<f64>,
 }
-
-/// An adaptive measurement: the [`Measurements`] over the replications
-/// actually executed, plus how many ran and the precision achieved.
-pub type AdaptiveMeasurements = AdaptiveRun<Measurements>;
 
 /// What "precise enough" means for an adaptive measurement: which
 /// indicator to watch, at what confidence level, under which
@@ -94,58 +90,6 @@ impl PrecisionTarget {
     }
 }
 
-/// The gracefully degraded result of a budgeted measurement: the
-/// [`Measurements`] over every replication that completed (if any),
-/// plus the failure and budget record. Produced by
-/// [`measure_configuration_budgeted`] and
-/// [`measure_configuration_adaptive_budgeted`].
-#[derive(Debug, Clone)]
-pub struct PartialMeasurements {
-    /// Aggregated measurements over completed replications, or `None`
-    /// if nothing completed.
-    pub measurements: Option<Measurements>,
-    /// The monitored response's precision at the last adaptive check.
-    pub achieved_precision: Option<Precision>,
-    /// Batch-sized rounds executed.
-    pub rounds: u32,
-    /// Replications attempted.
-    pub attempted: u32,
-    /// Replications that completed and were accepted.
-    pub completed: u32,
-    /// Replications that failed (panicked, or produced non-finite
-    /// statistics), in replication order.
-    pub failed: Vec<ReplicationFailure>,
-    /// Why the run ended.
-    pub budget_outcome: BudgetOutcome,
-}
-
-impl PartialMeasurements {
-    fn from_run(run: PartialRun<Measurements>) -> Self {
-        PartialMeasurements {
-            measurements: run.output,
-            achieved_precision: run.precision,
-            rounds: run.rounds,
-            attempted: run.attempted,
-            completed: run.completed,
-            failed: run.failed,
-            budget_outcome: run.budget_outcome,
-        }
-    }
-
-    /// The indicator summary over completed replications, if any.
-    #[must_use]
-    pub fn indicators(&self) -> Option<&IndicatorSummary> {
-        self.measurements.as_ref().map(|m| &m.summary)
-    }
-
-    /// Whether the result is degraded: some replications failed, or an
-    /// external budget truncated the run.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        !self.failed.is_empty() || self.budget_outcome.is_truncation()
-    }
-}
-
 /// Runs `batches × batch_size` campaign replications of `threat` against
 /// `network` on the default (parallel) [`Executor`] and aggregates the
 /// indicators.
@@ -172,15 +116,16 @@ pub fn measure_configuration(
 }
 
 /// Measures one configuration under an explicit [`ReplicationPlan`] and
-/// [`Executor`] — the entry point for callers that manage their own
-/// plans (the pipeline sweep, the bench experiments, determinism tests).
+/// [`Executor`], strictly and over every batch of the plan — the entry
+/// point for callers that manage their own plans (the bench experiments,
+/// determinism tests). [`measure_configuration_run`] is the adaptive and
+/// fault-tolerant form.
 ///
 /// Runs on the workspace executor ([`Executor::run_ws`]): each worker
-/// keeps one [`CampaignWorkspace`](diversify_attack::campaign::CampaignWorkspace)
-/// alive across its replications and folds the scalar per-replication
-/// [`CampaignStats`], so the
-/// hot loop performs no steady-state allocation. Results are
-/// bit-identical to the materializing per-replication path.
+/// keeps one [`CampaignWorkspace`] alive across its replications and
+/// folds the scalar per-replication [`CampaignStats`], so the hot loop
+/// performs no steady-state allocation. Results are bit-identical to the
+/// materializing per-replication path.
 #[must_use]
 pub fn measure_configuration_with(
     network: &ScadaNetwork,
@@ -198,97 +143,62 @@ pub fn measure_configuration_with(
     )
 }
 
-/// Measures one configuration adaptively: batch-sized rounds of `plan`
-/// execute until `target` is met (or its replication cap is hit), so a
-/// low-variance configuration spends a fraction of the replications a
-/// high-variance one needs.
+/// Measures one configuration under an explicit plan and executor,
+/// adaptively when `target` is set and fault-tolerantly when `policy` is
+/// set, and reports the run as a [`PartialRun`].
+///
+/// * With no target the run executes every batch of `plan`. With one,
+///   batch-sized rounds of `plan` execute until the target's interval
+///   is tight enough or its replication cap is hit
+///   ([`PartialRun::budget_outcome`] tells which), so a low-variance
+///   configuration spends a fraction of the replications a
+///   high-variance one needs.
+/// * With no policy the run is strict, and a panicking replication
+///   aborts it. With one, replications run unwind-caught, failures are
+///   retried per policy and otherwise recorded, non-finite campaign
+///   statistics are rejected as invalid output, and the policy's budget
+///   (replication cap, deadline, cancellation) truncates at round
+///   boundaries.
 ///
 /// Seeds stay the plan's `namespace ^ index` derivation and outcomes
-/// fold through the same per-round structure as fixed plans, so an
-/// adaptive run that stops after *N* replications returns
-/// [`Measurements`] **bit-identical** to
-/// [`measure_configuration_with`] on `plan.with_batches(N / batch_size)`.
-/// Campaign workspaces live in a pool that survives across rounds
-/// ([`Executor::run_adaptive_ws`]), so later rounds re-pay no
-/// per-replication setup.
+/// fold through the same per-round structure as fixed plans, so a run
+/// that stopped after *N* rounds returns measurements **bit-identical**
+/// to [`measure_configuration_with`] on `plan.with_batches(N)` over the
+/// replications that completed. Campaign workspaces live in a pool that
+/// survives across rounds, so later rounds re-pay no per-replication
+/// setup.
 #[must_use]
-pub fn measure_configuration_adaptive(
+pub fn measure_configuration_run(
     network: &ScadaNetwork,
     threat: &ThreatModel,
     config: CampaignConfig,
     plan: &ReplicationPlan,
     executor: Executor,
-    target: &PrecisionTarget,
-) -> AdaptiveMeasurements {
+    target: Option<&PrecisionTarget>,
+    policy: Option<&RunPolicy>,
+) -> PartialRun<Measurements> {
     let sim = CampaignSimulator::new(network, threat.clone(), config);
-    executor.run_adaptive_ws(
+    let precision = |acc: &MeasurementsAccum, _completed: u32| {
+        target.and_then(|t| acc.indicators.precision(t.response, t.level))
+    };
+    let monitor: Monitor<'_, MeasurementsAccum> = &precision;
+    let spec = RunSpec {
         plan,
-        &target.rule,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &MeasurementsCollector,
-        |acc, _replications| acc.indicators.precision(target.response, target.level),
-    )
-}
-
-/// The fault-tolerant form of [`measure_configuration_with`]: measures
-/// one configuration under a [`RunPolicy`] — replications run
-/// unwind-caught, failures are retried per policy and otherwise
-/// recorded, non-finite campaign statistics are rejected as invalid
-/// output, and the policy's budget (replication cap, deadline,
-/// cancellation) truncates at round boundaries. Returns
-/// [`PartialMeasurements`] over whatever completed; every surviving
-/// replication is bit-identical to the fault-free run, and with no
-/// faults and an unlimited budget the measurements are bit-identical
-/// to [`measure_configuration_with`].
-#[must_use]
-pub fn measure_configuration_budgeted(
-    network: &ScadaNetwork,
-    threat: &ThreatModel,
-    config: CampaignConfig,
-    plan: &ReplicationPlan,
-    executor: Executor,
-    policy: &RunPolicy,
-) -> PartialMeasurements {
-    let sim = CampaignSimulator::new(network, threat.clone(), config);
-    PartialMeasurements::from_run(executor.run_ws_checked(
-        plan,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &MeasurementsCollector,
+        stop: target.map(|t| (&t.rule, monitor)),
         policy,
-        CampaignStats::is_finite,
-    ))
-}
-
-/// The fault-tolerant form of [`measure_configuration_adaptive`]:
-/// adaptive rounds under a [`RunPolicy`]. The returned
-/// `budget_outcome` distinguishes the target being met
-/// ([`BudgetOutcome::PrecisionMet`]), the rule's own replication cap
-/// ([`BudgetOutcome::RuleCapped`]), and external truncation; a
-/// truncated run's measurements are bit-identical to the fixed plan of
-/// the rounds it completed.
-#[must_use]
-pub fn measure_configuration_adaptive_budgeted(
-    network: &ScadaNetwork,
-    threat: &ThreatModel,
-    config: CampaignConfig,
-    plan: &ReplicationPlan,
-    executor: Executor,
-    target: &PrecisionTarget,
-    policy: &RunPolicy,
-) -> PartialMeasurements {
-    let sim = CampaignSimulator::new(network, threat.clone(), config);
-    PartialMeasurements::from_run(executor.run_adaptive_ws_checked(
-        plan,
-        &target.rule,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &MeasurementsCollector,
-        |acc, _replications| acc.indicators.precision(target.response, target.level),
-        policy,
-        CampaignStats::is_finite,
-    ))
+    };
+    let init = || sim.workspace();
+    let task = |ws: &mut CampaignWorkspace, rep: Replication| sim.run_into(ws, rep.seed);
+    match policy {
+        Some(_) => executor.execute(
+            &spec,
+            init,
+            task,
+            &MeasurementsCollector,
+            CampaignStats::is_finite,
+        ),
+        None => executor.execute(&spec, init, task, &MeasurementsCollector, accept_all),
+    }
 }
 
 /// A rare-event measurement of one configuration: the
@@ -445,16 +355,10 @@ fn measure_splitting(
     })
 }
 
-/// The [`Precision`] achieved by a finished adaptive run, as a relative
-/// half-width (`None` when the monitor never produced an interval).
-#[must_use]
-pub fn achieved_relative_half_width(run: &AdaptiveMeasurements) -> Option<f64> {
-    run.precision.as_ref().map(Precision::relative_half_width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{BudgetOutcome, Precision};
     use diversify_scada::scope::{ScopeConfig, ScopeSystem};
 
     fn scope_network() -> ScadaNetwork {
@@ -528,26 +432,28 @@ mod tests {
         let base = campaign_plan(1, 6, 0xADA);
         // A rule that can never be met: the run executes exactly the cap.
         let target = PrecisionTarget::p_success(1e-12, 6, 24);
-        let adaptive = measure_configuration_adaptive(
+        let adaptive = measure_configuration_run(
             &net,
             &threat,
             config,
             &base,
             Executor::default(),
-            &target,
+            Some(&target),
+            None,
         );
-        assert!(!adaptive.target_met);
-        assert_eq!(adaptive.replications, 24);
+        assert_ne!(adaptive.budget_outcome, BudgetOutcome::PrecisionMet);
+        assert_eq!(adaptive.attempted, 24);
         assert_eq!(adaptive.plan, base.with_batches(4));
         let fixed =
             measure_configuration_with(&net, &threat, config, &adaptive.plan, Executor::default());
+        let output = adaptive.output.expect("a strict run completes");
         assert_eq!(
-            adaptive.output.summary.p_success.to_bits(),
+            output.summary.p_success.to_bits(),
             fixed.summary.p_success.to_bits()
         );
-        assert_eq!(adaptive.output.batch_p_success, fixed.batch_p_success);
-        assert_eq!(adaptive.output.batch_compromised, fixed.batch_compromised);
-        assert_eq!(adaptive.output.summary.tta, fixed.summary.tta);
+        assert_eq!(output.batch_p_success, fixed.batch_p_success);
+        assert_eq!(output.batch_compromised, fixed.batch_compromised);
+        assert_eq!(output.summary.tta, fixed.summary.tta);
     }
 
     #[test]
@@ -557,7 +463,7 @@ mod tests {
         // 5% relative target stops well under the cap.
         let net = scope_network();
         let target = PrecisionTarget::p_success(0.05, 50, 1000);
-        let run = measure_configuration_adaptive(
+        let run = measure_configuration_run(
             &net,
             &ThreatModel::stuxnet_like(),
             CampaignConfig {
@@ -566,15 +472,24 @@ mod tests {
             },
             &campaign_plan(1, 25, 0xD1CE),
             Executor::default(),
-            &target,
+            Some(&target),
+            None,
         );
-        assert!(run.target_met, "precision target should be reachable");
+        assert_eq!(
+            run.budget_outcome,
+            BudgetOutcome::PrecisionMet,
+            "precision target should be reachable"
+        );
         assert!(
-            run.replications < 1000,
+            run.attempted < 1000,
             "adaptive run should stop before the cap ({} replications)",
-            run.replications
+            run.attempted
         );
-        let achieved = achieved_relative_half_width(&run).expect("precision was computed");
+        let achieved = run
+            .precision
+            .as_ref()
+            .map(Precision::relative_half_width)
+            .expect("precision was computed");
         assert!(achieved <= 0.05, "achieved {achieved} > target");
     }
 
@@ -585,18 +500,19 @@ mod tests {
         let config = CampaignConfig::default();
         let plan = campaign_plan(3, 6, 0xB0B);
         let plain = measure_configuration_with(&net, &threat, config, &plan, Executor::serial());
-        let run = measure_configuration_budgeted(
+        let run = measure_configuration_run(
             &net,
             &threat,
             config,
             &plan,
             Executor::serial(),
-            &RunPolicy::new(),
+            None,
+            Some(&RunPolicy::new()),
         );
         assert!(!run.is_degraded());
         assert_eq!(run.budget_outcome, BudgetOutcome::Completed);
         assert_eq!(run.completed, 18);
-        let m = run.measurements.expect("all replications completed");
+        let m = run.output.expect("all replications completed");
         assert_eq!(
             m.summary.p_success.to_bits(),
             plain.summary.p_success.to_bits()
@@ -613,13 +529,14 @@ mod tests {
         let config = CampaignConfig::default();
         let plan = campaign_plan(4, 5, 0x7A7);
         let policy = RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(10));
-        let run = measure_configuration_budgeted(
+        let run = measure_configuration_run(
             &net,
             &threat,
             config,
             &plan,
             Executor::default(),
-            &policy,
+            None,
+            Some(&policy),
         );
         assert_eq!(run.budget_outcome, BudgetOutcome::ReplicationBudget);
         assert!(run.is_degraded());
@@ -631,7 +548,7 @@ mod tests {
             &plan.with_batches(2),
             Executor::default(),
         );
-        let m = run.measurements.expect("two rounds completed");
+        let m = run.output.expect("two rounds completed");
         assert_eq!(
             m.summary.p_success.to_bits(),
             fixed.summary.p_success.to_bits()

@@ -20,22 +20,27 @@
 //!   independent, reproducible streams.
 //! * **Stop conditions** — [`StopCondition`] values compose limits on time
 //!   and event count.
-//! * **Observation** — [`Welford`] and [`TimeWeighted`] accumulators plus a
-//!   [`ReplicationRunner`] for independent-replication experiments.
+//! * **Observation** — the [`TimeWeighted`] accumulator for
+//!   piecewise-constant signals (moment accumulators live in
+//!   `diversify-stats`).
 //! * **Execution** — the [`exec`] layer: a [`ReplicationPlan`] describing
 //!   seeds and batch structure, run by a serial or parallel [`Executor`]
 //!   and folded by pluggable mergeable [`Collector`]s (streaming
 //!   `empty`/`accumulate`/`merge`/`finish`, never a stored sample of
-//!   every replication). [`Executor::run_adaptive`] executes batch-sized
-//!   rounds until a [`StopRule`] precision target is met. Every
-//!   replication loop in the workspace goes through this one seam.
+//!   every replication). [`Executor::execute`] runs a [`RunSpec`]: a
+//!   fixed plan, or batch-sized rounds until a [`StopRule`] precision
+//!   target is met, strict or under a [`RunPolicy`]. Every replication
+//!   loop in the workspace goes through this one seam except the SAN
+//!   transient solver's own two loops (`TransientSolver::solve` and
+//!   `solve_budgeted` in `diversify-san`), which keep their additive
+//!   seed schedule and a per-replication budget.
 //! * **Rare events** — the [`splitting`] module: fixed-effort multilevel
 //!   splitting (RESTART) over the monotone levels of a [`StagedTask`],
 //!   estimating a rare probability as a product of per-level
 //!   conditionals with the executor's deterministic seed schedule and
 //!   serial ≡ parallel bit-identity intact.
-//! * **Fault tolerance** — every replication executes unwind-caught; the
-//!   budgeted executor paths record failures ([`ReplicationFailure`]),
+//! * **Fault tolerance** — every replication executes unwind-caught; a
+//!   run under a [`RunPolicy`] records failures ([`ReplicationFailure`]),
 //!   retry them deterministically from their own seeds ([`RetryPolicy`]),
 //!   bound work with a [`Budget`] (replication cap, wall-clock deadline,
 //!   cooperative [`CancelToken`]) and degrade gracefully to a
@@ -82,7 +87,6 @@ pub mod engine;
 pub mod exec;
 pub mod faults;
 pub mod observe;
-pub mod replication;
 pub mod rng;
 pub mod splitting;
 pub mod stop;
@@ -92,13 +96,12 @@ pub use calendar::{Calendar, EventToken};
 pub use engine::RunOutcome;
 pub use engine::{Context, Engine, Model};
 pub use exec::{
-    AdaptiveRun, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause,
+    Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause, Monitor,
     PartialRun, PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan, Reseed,
-    RetryPolicy, RunPolicy, StopRule,
+    RetryPolicy, RunPolicy, RunSpec, StopRule,
 };
 pub use faults::{FaultKind, FaultPlan, InjectedPanic};
-pub use observe::{TimeWeighted, Welford};
-pub use replication::{ReplicationRunner, ReplicationSummary};
+pub use observe::TimeWeighted;
 pub use rng::{derive_seed, RngStream, StreamId};
 pub use splitting::{
     LevelRun, LevelSummary, Splitting, SplittingRun, StagedTask, SPLITTING_STREAM_NAMESPACE,

@@ -1,153 +1,6 @@
-//! Online statistical accumulators used to observe simulations.
+//! Online accumulators used to observe simulations.
 
 use crate::time::SimTime;
-use std::fmt;
-
-/// Welford's online algorithm for mean and variance.
-///
-/// Numerically stable single-pass accumulation; used throughout the
-/// workspace for per-replication indicator summaries.
-///
-/// # Examples
-///
-/// ```
-/// use diversify_des::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.push(x);
-/// }
-/// assert_eq!(w.mean(), 5.0);
-/// assert!((w.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Welford {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 when fewer than two observations).
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population (biased) variance.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn sample_sd(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    #[must_use]
-    pub fn standard_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sample_sd() / (self.n as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford/Chan).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Extend<f64> for Welford {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Welford {
-    fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
-        let mut w = Welford::new();
-        w.extend(iter);
-        w
-    }
-}
 
 /// A time-weighted average of a piecewise-constant signal, e.g. the
 /// *compromised ratio* indicator over a simulation run.
@@ -214,75 +67,9 @@ impl TimeWeighted {
     }
 }
 
-impl fmt::Display for Welford {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.6} sd={:.6} min={:.6} max={:.6}",
-            self.n,
-            self.mean,
-            self.sample_sd(),
-            self.min,
-            self.max
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_welford_is_zeroish() {
-        let w = Welford::new();
-        assert_eq!(w.count(), 0);
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
-        assert_eq!(w.standard_error(), 0.0);
-    }
-
-    #[test]
-    fn single_observation() {
-        let w: Welford = [5.0].into_iter().collect();
-        assert_eq!(w.mean(), 5.0);
-        assert_eq!(w.sample_variance(), 0.0);
-        assert_eq!(w.min(), 5.0);
-        assert_eq!(w.max(), 5.0);
-    }
-
-    #[test]
-    fn matches_two_pass_computation() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let w: Welford = xs.iter().copied().collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((w.mean() - mean).abs() < 1e-10);
-        assert!((w.sample_variance() - var).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sqrt()).collect();
-        let full: Welford = xs.iter().copied().collect();
-        let a: Welford = xs[..200].iter().copied().collect();
-        let b: Welford = xs[200..].iter().copied().collect();
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(merged.count(), full.count());
-        assert!((merged.mean() - full.mean()).abs() < 1e-10);
-        assert!((merged.sample_variance() - full.sample_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let a: Welford = [1.0, 2.0, 3.0].into_iter().collect();
-        let mut b = a;
-        b.merge(&Welford::new());
-        assert_eq!(a, b);
-        let mut c = Welford::new();
-        c.merge(&a);
-        assert_eq!(c.mean(), a.mean());
-    }
 
     #[test]
     fn time_weighted_constant_signal() {
@@ -310,11 +97,5 @@ mod tests {
     fn time_weighted_rejects_out_of_order() {
         let mut tw = TimeWeighted::new(SimTime::from_secs(5.0), 0.0);
         tw.record(SimTime::from_secs(1.0), 1.0);
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        let w: Welford = [1.0, 2.0].into_iter().collect();
-        assert!(w.to_string().contains("n=2"));
     }
 }

@@ -26,7 +26,8 @@ use crate::error::SanError;
 use crate::model::{ActivityId, SanModel};
 use crate::solver::{RewardEstimate, RewardSpec, TransientResult};
 use crate::statespace::{explore, ExploreOptions, StateSpace};
-use diversify_des::{SimTime, Welford};
+use diversify_des::SimTime;
+use diversify_stats::StreamingSummary;
 
 /// Hit probabilities below this are treated as "never reached": the
 /// conditional mean would divide by (numerical) zero.
@@ -305,10 +306,10 @@ fn impulse_targets(rewards: &[RewardSpec]) -> Vec<ActivityId> {
 }
 
 /// Packs an exact value into the Monte-Carlo result shape: the value (if
-/// any) becomes a single Welford observation, and the probability is
+/// any) becomes a single streamed observation, and the probability is
 /// recorded exactly.
 fn exact_estimate(name: &str, value: Option<f64>, probability: f64) -> RewardEstimate {
-    let mut stats = Welford::new();
+    let mut stats = StreamingSummary::new();
     if let Some(v) = value {
         stats.push(v);
     }

@@ -9,7 +9,8 @@ use crate::reward::{FirstPassage, ImpulseReward, Observer, RateReward};
 use crate::sim::{Engine, SimState, Simulator};
 use diversify_des::exec::{BudgetOutcome, FailureCause, ReplicationFailure, RunPolicy};
 use diversify_des::faults::panic_message;
-use diversify_des::{derive_seed, SimTime, StreamId, Welford};
+use diversify_des::{derive_seed, SimTime, StreamId};
+use diversify_stats::StreamingSummary;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -103,7 +104,7 @@ pub struct RewardEstimate {
     /// first-passage rewards: only replications where the event occurred).
     /// The analytic backend stores its exact value as a single
     /// observation.
-    pub stats: Welford,
+    pub stats: StreamingSummary,
     /// For first-passage rewards: how many replications reached the
     /// target. Equal to the replication count for other reward kinds.
     pub occurrences: u32,
@@ -267,7 +268,10 @@ impl TransientSolver {
     /// trajectories stay bit-identical to fresh-`Simulator` runs.
     #[must_use]
     pub fn solve(&self, model: &SanModel, rewards: &[RewardSpec]) -> TransientResult {
-        let mut acc: Vec<(Welford, u32)> = rewards.iter().map(|_| (Welford::new(), 0)).collect();
+        let mut acc: Vec<(StreamingSummary, u32)> = rewards
+            .iter()
+            .map(|_| (StreamingSummary::new(), 0))
+            .collect();
         let mut tracker = RewardTracker::new(rewards);
         let mut values: Vec<Option<f64>> = vec![None; rewards.len()];
         let mut state = SimState::new(model);
@@ -358,7 +362,10 @@ impl TransientSolver {
         policy: &RunPolicy,
     ) -> PartialTransient {
         let started = Instant::now();
-        let mut acc: Vec<(Welford, u32)> = rewards.iter().map(|_| (Welford::new(), 0)).collect();
+        let mut acc: Vec<(StreamingSummary, u32)> = rewards
+            .iter()
+            .map(|_| (StreamingSummary::new(), 0))
+            .collect();
         let mut tracker = RewardTracker::new(rewards);
         let mut values: Vec<Option<f64>> = vec![None; rewards.len()];
         // The reusable simulation state rides in an Option: a panicking

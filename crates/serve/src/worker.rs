@@ -21,7 +21,7 @@ use diversify_attack::campaign::{CampaignSimulator, CampaignStats};
 use diversify_core::exec::BatchRecord;
 use diversify_core::indicators::IndicatorAccum;
 use diversify_des::exec::{
-    CancelToken, Collector, Executor, Replication, ReplicationPlan, RetryPolicy, RunPolicy,
+    CancelToken, Collector, Executor, Replication, ReplicationPlan, RetryPolicy, RunPolicy, RunSpec,
 };
 use diversify_des::faults::{panic_message, FaultPlan};
 use diversify_scada::scope::ScopeSystem;
@@ -141,6 +141,7 @@ fn execute_shard(spec: &ShardSpec, options: &WorkerOptions, cancel: &CancelToken
         first_batch: plan.first_batch(),
     };
     let first_replication = plan.first_replication();
+    let run_spec = RunSpec::new(&plan).with_policy(&policy);
 
     let run = if let Some(faults) = &options.faults {
         // Fault indices are global; rebase to this shard's local span.
@@ -157,21 +158,19 @@ fn execute_shard(spec: &ShardSpec, options: &WorkerOptions, cancel: &CancelToken
                 },
             )(ws, global)
         };
-        options.executor.run_ws_checked(
-            &plan,
+        options.executor.execute(
+            &run_spec,
             || sim.workspace(),
             task,
             &collector,
-            &policy,
             CampaignStats::is_finite,
         )
     } else {
-        options.executor.run_ws_checked(
-            &plan,
+        options.executor.execute(
+            &run_spec,
             || sim.workspace(),
             |ws, rep| sim.run_into(ws, rep.seed),
             &collector,
-            &policy,
             CampaignStats::is_finite,
         )
     };

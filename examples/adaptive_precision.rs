@@ -7,17 +7,21 @@
 //!
 //! Part 1 measures one SCoPE design point twice — under the fixed
 //! default replication budget and adaptively with a relative
-//! confidence-interval target on P_SA — and compares the spend. Part 2
+//! confidence-interval target on P_SA — compares the spend, and checks
+//! that the adaptive run equals the fixed plan of the rounds it
+//! executed, bit for bit. Part 2
 //! runs the full three-step pipeline with a precision target, so every
 //! design point of the 2^(6−2) sweep sizes its own replication count
 //! and the report shows the per-run spend and achieved half-widths.
 
+// Example code: the unwrap/expect ban (clippy.toml) applies to the
+// non-test library code of diversify-des/diversify-core.
+#![allow(clippy::disallowed_methods)]
 use diversify::attack::campaign::{CampaignConfig, ThreatModel};
-use diversify::core::exec::{campaign_plan, Executor};
+use diversify::core::exec::{campaign_plan, BudgetOutcome, Executor, Precision};
 use diversify::core::pipeline::{Pipeline, PipelineConfig};
 use diversify::core::runner::{
-    achieved_relative_half_width, measure_configuration_adaptive, measure_configuration_with,
-    PrecisionTarget,
+    measure_configuration_run, measure_configuration_with, PrecisionTarget,
 };
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 
@@ -52,27 +56,39 @@ fn main() {
     );
 
     let target = PrecisionTarget::p_success(0.05, 50, 400);
-    let adaptive = measure_configuration_adaptive(
+    let adaptive = measure_configuration_run(
         &net,
         &threat,
         campaign,
         &campaign_plan(1, 25, 0xD1CE),
         Executor::default(),
-        &target,
+        Some(&target),
+        None,
     );
+    let measured = adaptive.output.as_ref().expect("a strict run completes");
     println!(
         "adaptive: {:>4} campaigns  P_SA={:.3}  half-width={:.4}  (target met: {}, rel {:.3})",
-        adaptive.replications,
-        adaptive.output.summary.p_success,
+        adaptive.attempted,
+        measured.summary.p_success,
         adaptive.precision.map_or(f64::NAN, |p| p.half_width),
-        adaptive.target_met,
-        achieved_relative_half_width(&adaptive).unwrap_or(f64::NAN)
+        adaptive.budget_outcome == BudgetOutcome::PrecisionMet,
+        adaptive
+            .precision
+            .as_ref()
+            .map_or(f64::NAN, Precision::relative_half_width)
     );
     // The first N replications of the adaptive run use exactly the seeds
     // of the fixed plan of N — the run is a fixed plan whose size was
     // chosen on the fly.
+    let replay =
+        measure_configuration_with(&net, &threat, campaign, &adaptive.plan, Executor::default());
+    assert_eq!(
+        measured.summary.p_success.to_bits(),
+        replay.summary.p_success.to_bits()
+    );
+    assert_eq!(measured.batch_p_success, replay.batch_p_success);
     println!(
-        "adaptive run == fixed plan of {} batches x {} campaigns\n",
+        "adaptive run == fixed plan of {} batches x {} campaigns, bit for bit\n",
         adaptive.plan.batches(),
         adaptive.plan.batch_size()
     );

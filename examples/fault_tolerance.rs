@@ -18,8 +18,8 @@
 #![allow(clippy::disallowed_methods)]
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
 use diversify::core::exec::{
-    Budget, BudgetOutcome, CancelToken, Executor, ReplicationPlan, RetryPolicy, RunPolicy,
-    VecCollector,
+    accept_all, Budget, BudgetOutcome, CancelToken, Executor, ReplicationPlan, RetryPolicy,
+    RunPolicy, RunSpec, VecCollector,
 };
 use diversify::core::pipeline::{Pipeline, PipelineConfig};
 use diversify::des::faults::{silence_injected_panics, FaultKind, FaultPlan};
@@ -45,12 +45,13 @@ fn main() {
     let faults = FaultPlan::none(plan.total())
         .with_fault(3, FaultKind::Panic)
         .with_fault(7, FaultKind::Panic);
-    let part = Executor::parallel().run_ws_budgeted(
-        &plan,
+    let isolate = RunPolicy::new();
+    let part = Executor::parallel().execute(
+        &RunSpec::new(&plan).with_policy(&isolate),
         || sim.workspace(),
         faults.wrap(task, |v| v),
         &VecCollector,
-        &RunPolicy::new(),
+        accept_all,
     );
     println!("— panic isolation —");
     println!(
@@ -82,12 +83,13 @@ fn main() {
         .with_fault(3, FaultKind::Panic)
         .with_fault(7, FaultKind::Panic)
         .transient(1);
-    let retried = Executor::parallel().run_ws_budgeted(
-        &plan,
+    let retry = RunPolicy::new().with_retry(RetryPolicy::retries(1));
+    let retried = Executor::parallel().execute(
+        &RunSpec::new(&plan).with_policy(&retry),
         || sim.workspace(),
         transient.wrap(task, |v| v),
         &VecCollector,
-        &RunPolicy::new().with_retry(RetryPolicy::retries(1)),
+        accept_all,
     );
     println!("— deterministic retry —");
     println!(
@@ -106,12 +108,12 @@ fn main() {
             .with_max_replications(10)
             .with_cancel(&token),
     );
-    let budgeted = Executor::parallel().run_ws_budgeted(
-        &plan,
+    let budgeted = Executor::parallel().execute(
+        &RunSpec::new(&plan).with_policy(&policy),
         || sim.workspace(),
         task,
         &VecCollector,
-        &policy,
+        accept_all,
     );
     let shorter: Vec<f64> = Executor::parallel().run_ws(
         &ReplicationPlan::new(2, 5, 0xFA171),
@@ -128,12 +130,12 @@ fn main() {
     assert_eq!(budgeted.output().expect("clean prefix"), &shorter);
     println!("  truncated run bit-identical to the 2-round plan: yes");
     token.cancel();
-    let cancelled = Executor::parallel().run_ws_budgeted(
-        &plan,
+    let cancelled = Executor::parallel().execute(
+        &RunSpec::new(&plan).with_policy(&policy),
         || sim.workspace(),
         task,
         &VecCollector,
-        &policy,
+        accept_all,
     );
     println!(
         "  after cancel(): {} completed, outcome: {}",

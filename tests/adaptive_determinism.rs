@@ -11,7 +11,7 @@ use diversify::attack::campaign::{CampaignConfig, ThreatModel};
 use diversify::core::exec::{campaign_plan, Executor};
 use diversify::core::pipeline::{Pipeline, PipelineConfig};
 use diversify::core::runner::{
-    measure_configuration_adaptive, measure_configuration_with, PrecisionTarget,
+    measure_configuration_run, measure_configuration_with, PrecisionTarget,
 };
 use diversify::scada::network::ScadaNetwork;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
@@ -54,18 +54,20 @@ fn adaptive_measurements_are_bit_identical_to_fixed_plan() {
     ];
     for target in &targets {
         for exec in [Executor::serial(), Executor::parallel()] {
-            let adaptive = measure_configuration_adaptive(
+            let adaptive = measure_configuration_run(
                 &net,
                 &threat,
                 short_campaign(),
                 &base,
                 exec,
-                target,
+                Some(target),
+                None,
             );
-            assert_eq!(adaptive.replications % 8, 0);
+            assert_eq!(adaptive.attempted % 8, 0);
             let fixed =
                 measure_configuration_with(&net, &threat, short_campaign(), &adaptive.plan, exec);
-            let (a, f) = (&adaptive.output.summary, &fixed.summary);
+            let output = adaptive.output.as_ref().expect("a strict run completes");
+            let (a, f) = (&output.summary, &fixed.summary);
             assert_eq!(a.replications, f.replications);
             assert_eq!(a.successes, f.successes);
             assert_eq!(a.detections, f.detections);
@@ -75,8 +77,8 @@ fn adaptive_measurements_are_bit_identical_to_fixed_plan() {
             assert_eq!(a.tta, f.tta);
             assert_eq!(a.ttsf, f.ttsf);
             assert_eq!(a.compromised, f.compromised);
-            assert_eq!(adaptive.output.batch_p_success, fixed.batch_p_success);
-            assert_eq!(adaptive.output.batch_compromised, fixed.batch_compromised);
+            assert_eq!(output.batch_p_success, fixed.batch_p_success);
+            assert_eq!(output.batch_compromised, fixed.batch_compromised);
         }
     }
 }
@@ -90,34 +92,28 @@ fn adaptive_runs_are_executor_invariant() {
     let threat = ThreatModel::stuxnet_like();
     let target = PrecisionTarget::p_success(0.08, 16, 240);
     let base = campaign_plan(1, 8, 0x5EED5);
-    let serial = measure_configuration_adaptive(
-        &net,
-        &threat,
-        short_campaign(),
-        &base,
-        Executor::serial(),
-        &target,
-    );
-    let parallel = measure_configuration_adaptive(
-        &net,
-        &threat,
-        short_campaign(),
-        &base,
-        Executor::parallel(),
-        &target,
-    );
-    assert_eq!(serial.replications, parallel.replications);
+    let run = |executor| {
+        measure_configuration_run(
+            &net,
+            &threat,
+            short_campaign(),
+            &base,
+            executor,
+            Some(&target),
+            None,
+        )
+    };
+    let (serial, parallel) = (run(Executor::serial()), run(Executor::parallel()));
+    assert_eq!(serial.attempted, parallel.attempted);
     assert_eq!(serial.rounds, parallel.rounds);
-    assert_eq!(serial.target_met, parallel.target_met);
+    assert_eq!(serial.budget_outcome, parallel.budget_outcome);
     assert_eq!(serial.precision, parallel.precision);
+    let (serial, parallel) = (serial.output.unwrap(), parallel.output.unwrap());
     assert_eq!(
-        serial.output.summary.p_success.to_bits(),
-        parallel.output.summary.p_success.to_bits()
+        serial.summary.p_success.to_bits(),
+        parallel.summary.p_success.to_bits()
     );
-    assert_eq!(
-        serial.output.batch_p_success,
-        parallel.output.batch_p_success
-    );
+    assert_eq!(serial.batch_p_success, parallel.batch_p_success);
 }
 
 /// The replication bounds hold: never a check before min, never a round
@@ -129,24 +125,17 @@ fn adaptive_bounds_and_variance_ordering() {
     let net = scope_network();
     let threat = ThreatModel::stuxnet_like();
     let target = PrecisionTarget::p_success(0.05, 24, 96);
-    let run = measure_configuration_adaptive(
+    let run = measure_configuration_run(
         &net,
         &threat,
         short_campaign(),
         &campaign_plan(1, 8, 7),
         Executor::default(),
-        &target,
+        Some(&target),
+        None,
     );
-    assert!(
-        run.replications >= 24,
-        "min bound violated: {}",
-        run.replications
-    );
-    assert!(
-        run.replications <= 96,
-        "max bound violated: {}",
-        run.replications
-    );
+    assert!(run.attempted >= 24, "min bound violated: {}", run.attempted);
+    assert!(run.attempted <= 96, "max bound violated: {}", run.attempted);
     assert_eq!(run.plan.batch_size(), 8);
     assert_eq!(run.plan.batches(), run.rounds);
 }

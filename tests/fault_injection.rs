@@ -9,11 +9,11 @@
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
 use diversify::core::exec::campaign_plan;
 use diversify::core::pipeline::{Pipeline, PipelineConfig};
-use diversify::core::runner::measure_configuration_budgeted;
+use diversify::core::runner::measure_configuration_run;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 use diversify_des::exec::{
     accept_all, Budget, BudgetOutcome, CancelToken, Executor, FailureCause, ReplicationPlan,
-    RetryPolicy, RunPolicy, VecCollector,
+    RetryPolicy, RunPolicy, RunSpec, VecCollector,
 };
 use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan, InjectedPanic};
 use diversify_des::{RngStream, StreamId};
@@ -65,12 +65,12 @@ proptest! {
         let policy = RunPolicy::new();
         let run = |executor: Executor| {
             faults.reset();
-            executor.run_ws_budgeted(
-                &plan,
+            executor.execute(
+                &RunSpec::new(&plan).with_policy(&policy),
                 || (),
                 faults.wrap(task, |v| v),
                 &VecCollector,
-                &policy,
+                accept_all,
             )
         };
         let serial = run(Executor::serial());
@@ -121,12 +121,12 @@ proptest! {
         let policy = RunPolicy::new().with_retry(RetryPolicy::retries(1));
         for executor in [Executor::serial(), Executor::parallel()] {
             faults.reset();
-            let part = executor.run_ws_budgeted(
-                &plan,
+            let part = executor.execute(
+                &RunSpec::new(&plan).with_policy(&policy),
                 || (),
                 faults.wrap(task, |v| v),
                 &VecCollector,
-                &policy,
+                accept_all,
             );
             prop_assert!(part.failed.is_empty());
             prop_assert!(!part.is_degraded());
@@ -150,7 +150,13 @@ proptest! {
         let policy = RunPolicy::new()
             .with_budget(Budget::unlimited().with_max_replications(keep_rounds * 4));
         for executor in [Executor::serial(), Executor::parallel()] {
-            let part = executor.run_ws_budgeted(&long, || (), task, &VecCollector, &policy);
+            let part = executor.execute(
+                &RunSpec::new(&long).with_policy(&policy),
+                || (),
+                task,
+                &VecCollector,
+                accept_all,
+            );
             let full: Vec<f64> = executor.run_ws(&short, || (), task, &VecCollector);
             prop_assert_eq!(part.budget_outcome, BudgetOutcome::ReplicationBudget);
             prop_assert_eq!(part.rounds, keep_rounds);
@@ -176,8 +182,8 @@ fn corrupted_campaign_outcomes_are_quarantined() {
         .with_fault(3, FaultKind::CorruptOutput)
         .with_fault(11, FaultKind::CorruptOutput);
     let policy = RunPolicy::new();
-    let part = Executor::serial().run_ws_checked(
-        &plan,
+    let part = Executor::serial().execute(
+        &RunSpec::new(&plan).with_policy(&policy),
         || (),
         faults.wrap(
             |(): &mut (), rep| sim.run(rep.seed),
@@ -187,7 +193,6 @@ fn corrupted_campaign_outcomes_are_quarantined() {
             },
         ),
         &VecCollector,
-        &policy,
         |outcome: &diversify::attack::campaign::CampaignOutcome| outcome.stats().is_finite(),
     );
     assert_eq!(part.failed.len(), 2);
@@ -234,11 +239,18 @@ fn cancellation_degrades_to_a_clean_prefix() {
     let token = CancelToken::new();
     token.cancel();
     let policy = RunPolicy::new().with_budget(Budget::unlimited().with_cancel(&token));
-    let part =
-        measure_configuration_budgeted(&net, &threat, config, &plan, Executor::serial(), &policy);
+    let part = measure_configuration_run(
+        &net,
+        &threat,
+        config,
+        &plan,
+        Executor::serial(),
+        None,
+        Some(&policy),
+    );
     assert_eq!(part.budget_outcome, BudgetOutcome::Cancelled);
     assert_eq!(part.completed, 0);
-    assert!(part.measurements.is_none());
+    assert!(part.output.is_none());
     assert!(part.is_degraded());
 }
 
@@ -277,22 +289,16 @@ fn resilient_pipeline_flags_degraded_cells_end_to_end() {
     assert_eq!(report.assessment.ranking.len(), 6);
 }
 
-/// `accept_all` really is the identity validator: the checked path with
-/// it equals the plain budgeted path.
+/// `accept_all` really is the identity validator: a run with it equals
+/// the same run with a validator that never looks at the output.
 #[test]
 fn accept_all_matches_unchecked_path() {
     let plan = ReplicationPlan::new(3, 4, 99);
     let task = |(): &mut (), rep: diversify_des::exec::Replication| draw(rep.seed);
     let policy = RunPolicy::new();
-    let a = Executor::serial().run_ws_budgeted(&plan, || (), task, &VecCollector, &policy);
-    let b = Executor::serial().run_ws_checked(
-        &plan,
-        || (),
-        task,
-        &VecCollector,
-        &policy,
-        accept_all::<f64>,
-    );
+    let spec = RunSpec::new(&plan).with_policy(&policy);
+    let a = Executor::serial().execute(&spec, || (), task, &VecCollector, |_: &f64| true);
+    let b = Executor::serial().execute(&spec, || (), task, &VecCollector, accept_all::<f64>);
     assert_eq!(a.output(), b.output());
     assert_eq!(a.completed, b.completed);
 }
@@ -326,9 +332,10 @@ fn helper_panic_reaches_the_caller_with_its_own_payload() {
         let helper_ran = AtomicBool::new(false);
         let plan = ReplicationPlan::new(4, 16, 0xFA11);
         let first_late = 2 * plan.batch_size();
+        let policy = RunPolicy::new();
         Executor::parallel()
-            .run_ws_checked(
-                &plan,
+            .execute(
+                &RunSpec::new(&plan).with_policy(&policy),
                 || (),
                 |(): &mut (), rep| {
                     if rep.index >= first_late {
@@ -346,7 +353,6 @@ fn helper_panic_reaches_the_caller_with_its_own_payload() {
                     rep.index
                 },
                 &VecCollector,
-                &RunPolicy::new(),
                 |&index: &u32| {
                     if index >= first_late && std::thread::current().id() != caller {
                         std::panic::panic_any(InjectedPanic { index });
@@ -403,8 +409,8 @@ fn parallel_cancellation_stops_at_the_next_round_boundary() {
         let token = CancelToken::new();
         let cancel_from_task = token.clone();
         let policy = RunPolicy::new().with_budget(Budget::unlimited().with_cancel(&token));
-        let run = Executor::parallel().run_ws_budgeted(
-            &plan,
+        let run = Executor::parallel().execute(
+            &RunSpec::new(&plan).with_policy(&policy),
             || (),
             move |(): &mut (), rep| {
                 if rep.index == 5 {
@@ -413,7 +419,7 @@ fn parallel_cancellation_stops_at_the_next_round_boundary() {
                 draw(rep.seed)
             },
             &VecCollector,
-            &policy,
+            accept_all,
         );
         let fixed: Vec<f64> = Executor::serial().run(&plan.with_batches(2), |rep| draw(rep.seed));
         (run, fixed)

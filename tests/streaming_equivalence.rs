@@ -6,10 +6,48 @@
 // Test code: the unwrap/expect ban (clippy.toml) applies to the
 // non-test library code of diversify-des/diversify-core.
 #![allow(clippy::disallowed_methods)]
-use diversify::des::exec::{Executor, MeanCollector, ReplicationPlan, StopRule};
-use diversify::des::{ReplicationRunner, RngStream, StreamId};
+use diversify::des::exec::{
+    accept_all, BudgetOutcome, Collector, Executor, MeanCollector, Replication, ReplicationPlan,
+    RunSpec, StopRule,
+};
+use diversify::des::{RngStream, StreamId};
 use diversify::stats::{BernoulliCounter, StreamingSummary, Summary};
 use proptest::prelude::*;
+
+/// Folds two scalar metrics per replication into one
+/// [`StreamingSummary`] each.
+struct PairMomentsCollector;
+
+impl Collector<[f64; 2]> for PairMomentsCollector {
+    type Accum = [StreamingSummary; 2];
+    type Output = [StreamingSummary; 2];
+
+    fn empty(&self) -> Self::Accum {
+        [StreamingSummary::new(); 2]
+    }
+
+    fn accumulate(
+        &self,
+        _plan: &ReplicationPlan,
+        acc: &mut Self::Accum,
+        _rep: Replication,
+        values: [f64; 2],
+    ) {
+        for (summary, value) in acc.iter_mut().zip(values) {
+            summary.push(value);
+        }
+    }
+
+    fn merge(&self, into: &mut Self::Accum, other: Self::Accum) {
+        for (summary, part) in into.iter_mut().zip(&other) {
+            summary.merge(part);
+        }
+    }
+
+    fn finish(&self, _plan: &ReplicationPlan, acc: Self::Accum) -> Self::Output {
+        acc
+    }
+}
 
 /// Folds `data` into one accumulator through the segment boundaries in
 /// `cuts` (arbitrary split positions), merging the partial accumulators
@@ -83,40 +121,40 @@ proptest! {
         };
         let fixed_plan = base.with_batches(rounds);
         let fixed = Executor::serial().collect(&fixed_plan, task, &MeanCollector);
+        let never = |_: &_, _| None;
         for exec in [Executor::serial(), Executor::parallel()] {
-            let adaptive = exec.run_adaptive(&base, &rule, task, &MeanCollector, |_, _| None);
+            let adaptive = exec.execute(
+                &RunSpec::new(&base).until(&rule, &never),
+                || (),
+                |(): &mut (), rep| task(rep),
+                &MeanCollector,
+                accept_all,
+            );
             prop_assert_eq!(adaptive.rounds, rounds);
-            prop_assert_eq!(adaptive.replications, batch * rounds);
+            prop_assert_eq!(adaptive.attempted, batch * rounds);
             prop_assert_eq!(adaptive.plan, fixed_plan);
-            prop_assert!(!adaptive.target_met);
-            prop_assert_eq!(adaptive.output.to_bits(), fixed.to_bits());
+            prop_assert!(adaptive.budget_outcome != BudgetOutcome::PrecisionMet);
+            prop_assert_eq!(adaptive.output.unwrap().to_bits(), fixed.to_bits());
         }
     }
 
-    /// The metrics fold of the replication harness is scheduling- and
-    /// batching-invariant: a batched plan equals the flat plan of the
-    /// same replications, bit for bit, because the Welford merge follows
-    /// the executor's fixed per-round fold shape.
+    /// A two-metric streaming fold is scheduling-invariant: the serial
+    /// and parallel executors give the same moments, bit for bit,
+    /// because the Welford merge follows the executor's fixed per-round
+    /// fold shape.
     #[test]
     fn metrics_fold_matches_across_executors(
         master in any::<u64>(),
         replications in 2u32..40,
     ) {
-        let experiment = |seed: u64| {
-            let mut rng = RngStream::new(seed, StreamId(3));
-            vec![("x".to_string(), rng.uniform()), ("y".to_string(), rng.exponential(2.0))]
+        let plan = ReplicationPlan::flat(replications, master);
+        let experiment = |rep: Replication| {
+            let mut rng = RngStream::new(rep.seed, StreamId(3));
+            [rng.uniform(), rng.exponential(2.0)]
         };
-        let serial = ReplicationRunner::new(master, replications)
-            .with_executor(Executor::serial())
-            .run(experiment);
-        let parallel = ReplicationRunner::new(master, replications)
-            .with_executor(Executor::parallel())
-            .run(experiment);
-        for name in ["x", "y"] {
-            let (s, p) = (
-                serial.metric(name).expect("metric present"),
-                parallel.metric(name).expect("metric present"),
-            );
+        let serial = Executor::serial().collect(&plan, experiment, &PairMomentsCollector);
+        let parallel = Executor::parallel().collect(&plan, experiment, &PairMomentsCollector);
+        for (s, p) in serial.iter().zip(&parallel) {
             prop_assert_eq!(s.count(), p.count());
             prop_assert_eq!(s.mean().to_bits(), p.mean().to_bits());
             prop_assert_eq!(s.sample_variance().to_bits(), p.sample_variance().to_bits());

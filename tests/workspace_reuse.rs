@@ -9,7 +9,7 @@
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, CampaignStats, ThreatModel};
 use diversify::core::exec::{campaign_plan, Executor, MeasurementsCollector, ReplicationPlan};
 use diversify::core::runner::{
-    measure_configuration_adaptive, measure_configuration_with, PrecisionTarget,
+    measure_configuration_run, measure_configuration_with, PrecisionTarget,
 };
 use diversify::des::exec::VecCollector;
 use diversify::des::{RngStream, StreamId};
@@ -131,19 +131,22 @@ proptest! {
         // An unreachable target pins the run to its cap.
         let target = PrecisionTarget::p_success(1e-12, 1, cap_rounds * batch_size);
         for exec in [Executor::serial(), Executor::parallel()] {
-            let adaptive = measure_configuration_adaptive(
-                &net, &threat, short_campaign(), &base, exec, &target,
+            let adaptive = measure_configuration_run(
+                &net, &threat, short_campaign(), &base, exec, Some(&target), None,
             );
             prop_assert_eq!(adaptive.rounds, cap_rounds);
             let fixed =
                 measure_configuration_with(&net, &threat, short_campaign(), &adaptive.plan, exec);
+            let Some(output) = adaptive.output.as_ref() else {
+                panic!("a strict run completes");
+            };
             prop_assert_eq!(
-                adaptive.output.summary.p_success.to_bits(),
+                output.summary.p_success.to_bits(),
                 fixed.summary.p_success.to_bits()
             );
-            prop_assert_eq!(&adaptive.output.summary.tta, &fixed.summary.tta);
-            prop_assert_eq!(&adaptive.output.batch_p_success, &fixed.batch_p_success);
-            prop_assert_eq!(&adaptive.output.batch_compromised, &fixed.batch_compromised);
+            prop_assert_eq!(&output.summary.tta, &fixed.summary.tta);
+            prop_assert_eq!(&output.batch_p_success, &fixed.batch_p_success);
+            prop_assert_eq!(&output.batch_compromised, &fixed.batch_compromised);
         }
     }
 

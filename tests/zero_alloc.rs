@@ -198,22 +198,24 @@ fn san_incremental_engine_is_allocation_free_after_warmup() {
 /// through a warm workspace must not allocate per replication.
 #[test]
 fn hardened_executor_path_is_allocation_free_per_replication() {
-    use diversify::des::exec::{Executor, MeanCollector, ReplicationPlan, RunPolicy};
+    use diversify::des::exec::{
+        accept_all, Executor, MeanCollector, ReplicationPlan, RunPolicy, RunSpec,
+    };
     let net = scope_network();
     let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
     let policy = RunPolicy::new();
     let run = |reps: u32| -> u64 {
         let plan = ReplicationPlan::new(reps, 10, 0x2EE0);
         let before = allocations();
-        let part = Executor::serial().run_ws_budgeted(
-            &plan,
+        let part = Executor::serial().execute(
+            &RunSpec::new(&plan).with_policy(&policy),
             || sim.workspace(),
             |ws, rep| {
                 let stats = sim.run_into(ws, rep.seed);
                 stats.final_compromised_ratio
             },
             &MeanCollector,
-            &policy,
+            accept_all,
         );
         assert!(!part.is_degraded());
         black_box(part);
