@@ -15,3 +15,8 @@ pub use diversify_san as san;
 pub use diversify_scada as scada;
 pub use diversify_serve as serve;
 pub use diversify_stats as stats;
+
+#[cfg(test)]
+mod observe;
+#[cfg(test)]
+mod replication;
