@@ -42,7 +42,7 @@ use crate::exploit::ExploitCatalog;
 use crate::frontier::ActiveSet;
 use crate::stage::{AttackStage, NodeCompromise};
 use diversify_des::{derive_seed, Executor, ReplicationPlan, RngStream, StreamId};
-use diversify_scada::components::ComponentProfile;
+use diversify_scada::components::{ComponentProfile, FirewallPolicy, OsVariant, PlcFirmware};
 use diversify_scada::network::{NodeId, NodeRole, ScadaNetwork, Topology, Zone};
 use diversify_scada::ProtocolDialect;
 use serde::{Deserialize, Serialize};
@@ -582,8 +582,9 @@ struct SrcCtx {
 /// per draw, so lookups are bit-identical to live computation. Filling
 /// per replication would cost O(nodes) against a tick loop that costs
 /// O(frontier) — at fleet scale the fill would dominate the
-/// replications it serves.
-#[derive(Debug, Clone, Default)]
+/// replications it serves. The catalog itself runs once per node
+/// class, not once per node (see [`ProbTables::build`]).
+#[derive(Debug)]
 struct ProbTables {
     /// One packed entry per node: everything the lateral inner loop
     /// asks about a destination lives on one cache line.
@@ -609,34 +610,82 @@ struct NodeProbs {
     zone: Zone,
 }
 
+/// Number of node classes: every combination of the attributes a
+/// [`NodeProbs`] entry and a payload probability read.
+const NODE_CLASSES: usize = OsVariant::ALL.len()
+    * ProtocolDialect::ALL.len()
+    * FirewallPolicy::ALL.len()
+    * PlcFirmware::ALL.len()
+    * NodeRole::ALL.len()
+    * Zone::ALL.len();
+
+/// A node's class: a direct index over the enum discriminants of its OS,
+/// dialect, firewall, PLC firmware, role and zone — the only inputs of
+/// its table entries — below [`NODE_CLASSES`].
+fn node_class(profile: &ComponentProfile, role: NodeRole, zone: Zone) -> usize {
+    let mut class = profile.os as usize;
+    class = class * ProtocolDialect::ALL.len() + profile.dialect as usize;
+    class = class * FirewallPolicy::ALL.len() + profile.firewall as usize;
+    class = class * PlcFirmware::ALL.len() + profile.plc_firmware as usize;
+    class = class * NodeRole::ALL.len() + role.index();
+    class * Zone::ALL.len() + zone.index()
+}
+
 impl ProbTables {
-    fn fill(&mut self, sim: &CampaignSimulator<'_>) {
-        let net = sim.network;
-        let cat = &sim.threat.catalog;
-        self.nodes.clear();
-        for id in net.node_ids() {
-            let p = net.profile(id);
-            self.nodes.push(NodeProbs {
-                infection: cat.infection_probability(p),
-                escalation: cat.escalation_probability(p),
-                firewall_pass: cat.firewall_pass_probability(p),
-                dialect: p.dialect,
-                needs_dialect: matches!(net.role(id), NodeRole::Plc | NodeRole::FieldGateway),
-                zone: net.zone(id),
-            });
+    /// Builds the tables for `network` under `threat`, together with the
+    /// per-node PLC payload probabilities (zero for non-PLCs).
+    ///
+    /// The catalog expressions run once per distinct node class (see
+    /// [`node_class`]; a generated fleet has 6 classes under monoculture
+    /// and 72 under full rotation), and every node's entry is a copy of
+    /// its class's values — the same IEEE results a per-node evaluation
+    /// gives, so trajectories are unchanged.
+    fn build(
+        network: &ScadaNetwork,
+        threat: &ThreatModel,
+        historian: &ComponentProfile,
+        sensor: &ComponentProfile,
+    ) -> (ProbTables, Vec<f64>) {
+        let cat = &threat.catalog;
+        let n = network.node_count();
+        // Position of each class seen so far in `classes`.
+        let mut slot = vec![u16::MAX; NODE_CLASSES];
+        let mut classes: Vec<(NodeProbs, f64)> = Vec::new();
+        let mut nodes = Vec::new();
+        nodes.reserve_exact(n);
+        let mut payload_p = Vec::new();
+        payload_p.reserve_exact(n);
+        for (i, p) in network.profiles().iter().enumerate() {
+            let id = NodeId::from_index(i);
+            let (role, zone) = (network.role(id), network.zone(id));
+            let class = node_class(p, role, zone);
+            if slot[class] == u16::MAX {
+                slot[class] = classes.len() as u16;
+                let probs = NodeProbs {
+                    infection: cat.infection_probability(p),
+                    escalation: cat.escalation_probability(p),
+                    firewall_pass: cat.firewall_pass_probability(p),
+                    dialect: p.dialect,
+                    needs_dialect: matches!(role, NodeRole::Plc | NodeRole::FieldGateway),
+                    zone,
+                };
+                let payload = if role == NodeRole::Plc {
+                    cat.plc_payload_probability(p)
+                } else {
+                    0.0
+                };
+                classes.push((probs, payload));
+            }
+            let (probs, payload) = classes[usize::from(slot[class])];
+            nodes.push(probs);
+            payload_p.push(payload);
         }
-        self.detection_quiet = cat.detection_probability(
-            &sim.historian_profile,
-            &sim.sensor_profile,
-            false,
-            sim.threat.stealth,
-        );
-        self.detection_active = cat.detection_probability(
-            &sim.historian_profile,
-            &sim.sensor_profile,
-            true,
-            sim.threat.stealth,
-        );
+        let tables = ProbTables {
+            nodes,
+            detection_quiet: cat.detection_probability(historian, sensor, false, threat.stealth),
+            detection_active: cat.detection_probability(historian, sensor, true, threat.stealth),
+        };
+        (tables, payload_p)
     }
 
     #[inline]
@@ -721,6 +770,12 @@ pub struct CampaignSimulator<'n> {
 
 impl<'n> CampaignSimulator<'n> {
     /// Creates a simulator for `threat` against `network`.
+    ///
+    /// Costs one pass over the nodes to fill the per-node tables. The
+    /// catalog values in them are computed once per node class (OS,
+    /// dialect, firewall, PLC firmware, role and zone), not once per
+    /// node, and the CSR topology is the network's shared cache, built
+    /// at most once per plant.
     #[must_use]
     pub fn new(network: &'n ScadaNetwork, threat: ThreatModel, config: CampaignConfig) -> Self {
         let topo = network.topology();
@@ -733,10 +788,6 @@ impl<'n> CampaignSimulator<'n> {
             topo.with_role(NodeRole::Historian),
             topo.with_role(NodeRole::EngineeringWorkstation),
         );
-        let mut payload_p = vec![0.0; network.node_count()];
-        for &plc in plc_ids {
-            payload_p[plc.index()] = threat.catalog.plc_payload_probability(network.profile(plc));
-        }
         let historian_profile = topo
             .with_role(NodeRole::Historian)
             .first()
@@ -746,7 +797,9 @@ impl<'n> CampaignSimulator<'n> {
             .first()
             .map(|&id| *network.profile(id))
             .unwrap_or_default();
-        let mut sim = CampaignSimulator {
+        let (tables, payload_p) =
+            ProbTables::build(network, &threat, &historian_profile, &sensor_profile);
+        CampaignSimulator {
             network,
             topo,
             threat,
@@ -757,12 +810,8 @@ impl<'n> CampaignSimulator<'n> {
             payload_p,
             historian_profile,
             sensor_profile,
-            tables: ProbTables::default(),
-        };
-        let mut tables = std::mem::take(&mut sim.tables);
-        tables.fill(&sim);
-        sim.tables = tables;
-        sim
+            tables,
+        }
     }
 
     /// The threat model under simulation.

@@ -27,6 +27,7 @@ use diversify_core::exec::{
     accept_all, campaign_plan, Executor, IndicatorsCollector, ReplicationPlan, RunPolicy, RunSpec,
 };
 use diversify_core::runner::{measure_configuration_run, PrecisionTarget};
+use diversify_diversity::config::DiversityConfig;
 use diversify_san::Engine;
 use diversify_scada::fleet::{FleetConfig, FleetSystem};
 use diversify_scada::scope::{ScopeConfig, ScopeSystem};
@@ -178,7 +179,9 @@ fn bench_engine(c: &mut Criterion) {
 /// Fleet-scaling axis: replications/s of the event-driven frontier
 /// engine across four decades of generated plant-family size, plus the
 /// dense O(nodes)-per-tick reference sweep at 10^4 and 10^5 nodes for
-/// the headline comparison recorded in `BENCH_5.json`. The horizon is
+/// the headline comparison recorded in `BENCH_5.json`, and at the same
+/// sizes the unit price of configuring a design point (network clone,
+/// full rotation, simulator construction). The horizon is
 /// bounded (30 simulated days) so the workload is the same at every
 /// size; fleets are built outside the timed loops.
 fn bench_fleet_scaling(c: &mut Criterion) {
@@ -203,6 +206,17 @@ fn bench_fleet_scaling(c: &mut Criterion) {
             })
         });
         if target == 10_000 || target == 100_000 {
+            // Configuring one design point on the fleet: clone the
+            // network, rotate every class, build the simulator's tables.
+            let rotation = DiversityConfig::full_rotation();
+            g.bench_function(&format!("fleet_configure_{target}"), |b| {
+                b.iter(|| {
+                    let mut net = fleet.network().clone();
+                    rotation.apply(&mut net);
+                    let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), campaign);
+                    black_box(&sim);
+                })
+            });
             let dense_reps: u64 = if target == 10_000 { 2 } else { 1 };
             g.bench_function(&format!("campaign_fleet_dense_{target}"), |b| {
                 b.iter(|| {

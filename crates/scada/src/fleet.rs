@@ -27,7 +27,7 @@
 //! ```
 
 use crate::components::ComponentProfile;
-use crate::network::{NodeId, NodeRole, ScadaNetwork, Zone};
+use crate::network::{NodeId, NodeRole, Plant, ScadaNetwork, Zone};
 use diversify_des::{RngStream, StreamId};
 
 /// RNG stream id for fleet topology generation.
@@ -147,9 +147,8 @@ impl FleetSystem {
             config.plants > 0 && config.substations_per_plant > 0,
             "non-empty fleet required"
         );
-        let p = config.baseline_profile;
         let mut rng = RngStream::new(config.seed, FLEET_STREAM);
-        let mut net = ScadaNetwork::new();
+        let mut net = Plant::default();
         let mut plants = Vec::with_capacity(config.plants);
 
         for plant in 0..config.plants {
@@ -161,7 +160,6 @@ impl FleetSystem {
                         format!("p{plant}-office-{i}"),
                         NodeRole::OfficeWorkstation,
                         Zone::Corporate,
-                        p,
                     )
                 })
                 .collect();
@@ -170,23 +168,16 @@ impl FleetSystem {
             }
 
             // Control-center zone: the SCoPE triangle.
-            let hmi = net.add_node(
-                format!("p{plant}-hmi"),
-                NodeRole::Hmi,
-                Zone::ControlCenter,
-                p,
-            );
+            let hmi = net.add_node(format!("p{plant}-hmi"), NodeRole::Hmi, Zone::ControlCenter);
             let historian = net.add_node(
                 format!("p{plant}-historian"),
                 NodeRole::Historian,
                 Zone::ControlCenter,
-                p,
             );
             let engineering = net.add_node(
                 format!("p{plant}-engineering"),
                 NodeRole::EngineeringWorkstation,
                 Zone::ControlCenter,
-                p,
             );
             net.connect(hmi, historian);
             net.connect(hmi, engineering);
@@ -206,7 +197,6 @@ impl FleetSystem {
                     format!("p{plant}-gw-{sub}"),
                     NodeRole::FieldGateway,
                     Zone::Field,
-                    p,
                 );
                 net.connect(hmi, gw);
                 net.connect(engineering, gw);
@@ -219,7 +209,6 @@ impl FleetSystem {
                         format!("p{plant}-plc-{sub}-{i}"),
                         NodeRole::Plc,
                         Zone::Field,
-                        p,
                     );
                     net.connect(gw, plc);
                     plcs.push(plc);
@@ -251,9 +240,11 @@ impl FleetSystem {
             net.connect(plants[plants.len() - 1].historian, plants[0].historian);
         }
 
+        let profiles = vec![config.baseline_profile; net.node_count()];
         FleetSystem {
             config: config.clone(),
-            network: net,
+            network: ScadaNetwork::from_parts(net, profiles)
+                .expect("generated plants are consistent"),
             plants,
         }
     }

@@ -17,12 +17,25 @@
 //!
 //! Profile rewrites (diversity placement) do **not** invalidate the
 //! cache: the topology depends only on nodes and links.
+//!
+//! # Shared plants
+//!
+//! A network is two parts: the **plant** (names, roles, zones, links and
+//! the lazily built topology) behind one `Arc`, and the network's own
+//! per-node component profiles. Cloning a network copies the `Arc` and
+//! the profiles only, so every diversity configuration of one plant
+//! shares its node names, its link list and its CSR topology, which is
+//! therefore built once per plant rather than once per clone.
+//! `profile_mut`/`profiles_mut` touch the clone's own profiles;
+//! `add_node`/`connect` on a clone whose plant is shared first detach a
+//! private copy of the plant (without its topology), so the original
+//! never sees the change.
 
 use crate::components::ComponentProfile;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a node within one [`ScadaNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -230,21 +243,82 @@ impl Topology {
     }
 }
 
-/// The plant network graph: structure-of-arrays node state plus an edge
-/// list, with the derived [`Topology`] (CSR + role/zone indexes) cached
-/// lazily.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ScadaNetwork {
+/// The profile-independent part of a network: structure-of-arrays node
+/// state, the edge list and the derived [`Topology`] cache. Generators
+/// fill one directly and wrap it once with [`ScadaNetwork::from_parts`];
+/// a network shares its plant with all of its clones.
+#[derive(Debug, Default, Deserialize)]
+pub(crate) struct Plant {
     names: Vec<String>,
     roles: Vec<NodeRole>,
     zones: Vec<Zone>,
-    profiles: Vec<ComponentProfile>,
     links: Vec<Link>,
     /// Derived CSR view; invalidated by `add_node`/`connect`, rebuilt on
-    /// the next query. Skipped by serde (rebuilt lazily after
-    /// deserialization) and cheap to clone when empty.
+    /// the next query. Not part of the wire form.
     #[serde(skip)]
     topo: OnceLock<Topology>,
+}
+
+impl Clone for Plant {
+    /// Copies nodes and links but not the topology: a plant is copied
+    /// only to be mutated (see [`ScadaNetwork::add_node`]), which would
+    /// invalidate it anyway.
+    fn clone(&self) -> Self {
+        Plant {
+            names: self.names.clone(),
+            roles: self.roles.clone(),
+            zones: self.zones.clone(),
+            links: self.links.clone(),
+            topo: OnceLock::new(),
+        }
+    }
+}
+
+impl Plant {
+    /// Adds a node and returns its id.
+    pub(crate) fn add_node(
+        &mut self,
+        name: impl Into<String>,
+        role: NodeRole,
+        zone: Zone,
+    ) -> NodeId {
+        self.topo.take();
+        self.names.push(name.into());
+        self.roles.push(role);
+        self.zones.push(zone);
+        NodeId(self.names.len() - 1)
+    }
+
+    /// Connects two nodes with an undirected link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range or the link is a self-loop.
+    pub(crate) fn connect(&mut self, a: NodeId, b: NodeId) -> LinkId {
+        assert!(
+            a.0 < self.names.len() && b.0 < self.names.len(),
+            "bad node id"
+        );
+        assert_ne!(a, b, "self-loops are not allowed");
+        self.topo.take();
+        self.links.push(Link { a, b });
+        LinkId(self.links.len() - 1)
+    }
+
+    /// Number of nodes.
+    pub(crate) fn node_count(&self) -> usize {
+        self.names.len()
+    }
+}
+
+/// The plant network graph: a shared plant (structure-of-arrays node
+/// state, edge list and the lazily cached [`Topology`]) plus this
+/// network's own per-node component profiles. See the module docs for
+/// what clones share.
+#[derive(Debug, Clone, Default)]
+pub struct ScadaNetwork {
+    plant: Arc<Plant>,
+    profiles: Vec<ComponentProfile>,
 }
 
 impl ScadaNetwork {
@@ -254,7 +328,58 @@ impl ScadaNetwork {
         ScadaNetwork::default()
     }
 
-    /// Adds a node and returns its id.
+    /// Wraps a plant and its per-node profiles — the one constructor
+    /// behind the generators and deserialization. Rejects parts that
+    /// contradict each other: per-node arrays of unequal length, link
+    /// endpoints out of range, or self-loops.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`serde::Error`] describing the first inconsistency.
+    pub(crate) fn from_parts(
+        plant: Plant,
+        profiles: Vec<ComponentProfile>,
+    ) -> Result<Self, serde::Error> {
+        let n = plant.names.len();
+        for (what, len) in [
+            ("roles", plant.roles.len()),
+            ("zones", plant.zones.len()),
+            ("profiles", profiles.len()),
+        ] {
+            if len != n {
+                return Err(serde::Error::custom(format!(
+                    "network has {n} names but {len} {what}"
+                )));
+            }
+        }
+        for (i, l) in plant.links.iter().enumerate() {
+            if l.a.0 >= n || l.b.0 >= n {
+                return Err(serde::Error::custom(format!(
+                    "link {i} ({}–{}) leaves the {n}-node network",
+                    l.a.0, l.b.0
+                )));
+            }
+            if l.a == l.b {
+                return Err(serde::Error::custom(format!(
+                    "link {i} is a self-loop on node {}",
+                    l.a.0
+                )));
+            }
+        }
+        Ok(ScadaNetwork {
+            plant: Arc::new(plant),
+            profiles,
+        })
+    }
+
+    /// The plant, detached from every clone sharing it (copied without
+    /// its topology) so a topology mutation stays private to `self`.
+    fn plant_mut(&mut self) -> &mut Plant {
+        Arc::make_mut(&mut self.plant)
+    }
+
+    /// Adds a node and returns its id. On a clone, this first detaches
+    /// a private copy of the shared plant.
     pub fn add_node(
         &mut self,
         name: impl Into<String>,
@@ -262,50 +387,43 @@ impl ScadaNetwork {
         zone: Zone,
         profile: ComponentProfile,
     ) -> NodeId {
-        self.topo = OnceLock::new();
-        self.names.push(name.into());
-        self.roles.push(role);
-        self.zones.push(zone);
+        let id = self.plant_mut().add_node(name, role, zone);
         self.profiles.push(profile);
-        NodeId(self.names.len() - 1)
+        id
     }
 
-    /// Connects two nodes with an undirected link.
+    /// Connects two nodes with an undirected link. On a clone, this
+    /// first detaches a private copy of the shared plant.
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range or the link is a self-loop.
     pub fn connect(&mut self, a: NodeId, b: NodeId) -> LinkId {
-        assert!(
-            a.0 < self.names.len() && b.0 < self.names.len(),
-            "bad node id"
-        );
-        assert_ne!(a, b, "self-loops are not allowed");
-        self.topo = OnceLock::new();
-        self.links.push(Link { a, b });
-        LinkId(self.links.len() - 1)
+        self.plant_mut().connect(a, b)
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.names.len()
+        self.plant.names.len()
     }
 
     /// Number of links.
     #[must_use]
     pub fn link_count(&self) -> usize {
-        self.links.len()
+        self.plant.links.len()
     }
 
     /// The derived CSR topology (flat neighbors + role/zone indexes),
-    /// building it if a mutation invalidated the cache. Hot loops should
-    /// call this once and keep the reference.
+    /// building it if a mutation invalidated the cache. The cache lives
+    /// in the shared plant, so it is built once for a network and all
+    /// of its clones. Hot loops should call this once and keep the
+    /// reference.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        self.topo.get_or_init(|| {
-            Topology::build(self.names.len(), &self.roles, &self.zones, &self.links)
-        })
+        let p = &*self.plant;
+        p.topo
+            .get_or_init(|| Topology::build(p.names.len(), &p.roles, &p.zones, &p.links))
     }
 
     /// Display name of a node.
@@ -315,7 +433,7 @@ impl ScadaNetwork {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn name(&self, id: NodeId) -> &str {
-        &self.names[id.0]
+        &self.plant.names[id.0]
     }
 
     /// Functional role of a node.
@@ -325,7 +443,7 @@ impl ScadaNetwork {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn role(&self, id: NodeId) -> NodeRole {
-        self.roles[id.0]
+        self.plant.roles[id.0]
     }
 
     /// Security zone of a node.
@@ -335,7 +453,7 @@ impl ScadaNetwork {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn zone(&self, id: NodeId) -> Zone {
-        self.zones[id.0]
+        self.plant.zones[id.0]
     }
 
     /// Deployed component variants of a node (where the diversity
@@ -349,7 +467,8 @@ impl ScadaNetwork {
         &self.profiles[id.0]
     }
 
-    /// Mutable profile access (used by diversity placement). Does not
+    /// Mutable profile access (used by diversity placement). Touches
+    /// only this network's own profiles — never a clone's — and does not
     /// invalidate the cached topology: role, zone and links are fixed at
     /// construction.
     ///
@@ -367,9 +486,15 @@ impl ScadaNetwork {
         &self.profiles
     }
 
+    /// The per-node profile array, mutable — the bulk form of
+    /// [`ScadaNetwork::profile_mut`], with the same guarantees.
+    pub fn profiles_mut(&mut self) -> &mut [ComponentProfile] {
+        &mut self.profiles
+    }
+
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.names.len()).map(NodeId)
+        (0..self.node_count()).map(NodeId)
     }
 
     /// Ids of nodes with a given role, in ascending id order — served
@@ -410,7 +535,7 @@ impl ScadaNetwork {
     /// therefore subject to the target's firewall policy).
     #[must_use]
     pub fn crosses_zone(&self, from: NodeId, to: NodeId) -> bool {
-        self.zones[from.0] != self.zones[to.0]
+        self.plant.zones[from.0] != self.plant.zones[to.0]
     }
 
     /// Nodes reachable from `start` (ignoring firewalls) — basic
@@ -442,7 +567,7 @@ impl ScadaNetwork {
     #[must_use]
     pub fn centrality(&self) -> Vec<(NodeId, f64)> {
         let topo = self.topology();
-        let n = self.names.len();
+        let n = self.node_count();
         let mut score = vec![0.0f64; n];
         // Scratch reused across sources: a visit stamp per node (stamp ==
         // current epoch ⇔ visited this BFS), BFS parents, and the queue.
@@ -490,7 +615,7 @@ impl ScadaNetwork {
             return Some(0);
         }
         let topo = self.topology();
-        let mut dist = vec![usize::MAX; self.names.len()];
+        let mut dist = vec![usize::MAX; self.node_count()];
         dist[from.0] = 0;
         let mut q = VecDeque::from([from]);
         while let Some(u) = q.pop_front() {
@@ -520,10 +645,43 @@ impl fmt::Display for ScadaNetwork {
             writeln!(
                 f,
                 "  [{:>3}] {:<24} {:?} / {:?}",
-                id.0, self.names[id.0], self.roles[id.0], self.zones[id.0]
+                id.0,
+                self.name(id),
+                self.role(id),
+                self.zone(id)
             )?;
         }
         Ok(())
+    }
+}
+
+/// The wire form `{names, roles, zones, profiles, links}`: the plant's
+/// arrays with the profiles between zones and links. The topology is
+/// derived, so it is not written.
+impl Serialize for ScadaNetwork {
+    fn to_json_value(&self) -> Value {
+        let p = &*self.plant;
+        Value::Object(vec![
+            ("names".to_string(), p.names.to_json_value()),
+            ("roles".to_string(), p.roles.to_json_value()),
+            ("zones".to_string(), p.zones.to_json_value()),
+            ("profiles".to_string(), self.profiles.to_json_value()),
+            ("links".to_string(), p.links.to_json_value()),
+        ])
+    }
+}
+
+/// Parses the wire form through the same validating constructor the
+/// generators use, so a document whose arrays contradict each other
+/// (unequal per-node arrays, a link endpoint out of range, a self-loop)
+/// is an error here rather than a panic at the first query.
+impl Deserialize for ScadaNetwork {
+    fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
+        let plant = Plant::from_json_value(v)?;
+        let profiles = v
+            .get("profiles")
+            .ok_or_else(|| serde::Error::custom("missing field `profiles` of `ScadaNetwork`"))?;
+        ScadaNetwork::from_parts(plant, Deserialize::from_json_value(profiles)?)
     }
 }
 
@@ -715,5 +873,113 @@ mod tests {
             back.nodes_with_role(NodeRole::Plc),
             net.nodes_with_role(NodeRole::Plc)
         );
+    }
+
+    #[test]
+    fn clones_share_one_topology() {
+        let (net, ..) = small_net();
+        assert!(std::ptr::eq(net.topology(), net.clone().topology()));
+        // Built on first query through a clone, it serves the original.
+        let (fresh, ..) = small_net();
+        let copy = fresh.clone();
+        assert!(std::ptr::eq(copy.topology(), fresh.topology()));
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_unchanged() {
+        let (net, corp, hmi, plc1, _) = small_net();
+        let _ = net.topology();
+        let mut copy = net.clone();
+        let extra = copy.add_node("extra", NodeRole::Historian, Zone::ControlCenter, profile());
+        copy.connect(corp, extra);
+        *copy.profile_mut(plc1) = ComponentProfile::hardened();
+        copy.profiles_mut()[hmi.index()].os = crate::components::OsVariant::Linux;
+
+        assert_eq!((net.node_count(), net.link_count()), (4, 3));
+        assert_eq!(net.neighbors(corp), &[hmi]);
+        assert!(net.nodes_with_role(NodeRole::Historian).is_empty());
+        assert!(net.profiles().iter().all(|p| *p == profile()));
+
+        assert_eq!((copy.node_count(), copy.link_count()), (5, 4));
+        assert_eq!(copy.neighbors(corp), &[hmi, extra]);
+        assert_eq!(copy.nodes_with_role(NodeRole::Historian), &[extra]);
+        assert_eq!(*copy.profile(plc1), ComponentProfile::hardened());
+        assert_eq!(copy.profile(hmi).os, crate::components::OsVariant::Linux);
+    }
+
+    /// Three nodes with three distinct profiles, and the exact JSON the
+    /// network serialized to before the plant was shared.
+    fn wire_net() -> (ScadaNetwork, &'static str) {
+        let mut net = ScadaNetwork::new();
+        let corp = net.add_node(
+            "corp",
+            NodeRole::OfficeWorkstation,
+            Zone::Corporate,
+            profile(),
+        );
+        let hmi = net.add_node(
+            "hmi",
+            NodeRole::Hmi,
+            Zone::ControlCenter,
+            ComponentProfile::hardened(),
+        );
+        let plc = net.add_node(
+            "plc",
+            NodeRole::Plc,
+            Zone::Field,
+            ComponentProfile {
+                os: crate::components::OsVariant::Linux,
+                ..profile()
+            },
+        );
+        net.connect(corp, hmi);
+        net.connect(hmi, plc);
+        let json = concat!(
+            r#"{"names":["corp","hmi","plc"],"#,
+            r#""roles":["OfficeWorkstation","Hmi","Plc"],"#,
+            r#""zones":["Corporate","ControlCenter","Field"],"#,
+            r#""profiles":[{"os":"WindowsLegacy","plc_firmware":"VendorAStock","dialect":"Classic","firewall":"Permissive","sensor":"Commodity","historian":"CommercialSuite"},"#,
+            r#"{"os":"HardenedRtos","plc_firmware":"Verified","dialect":"Authenticated","firewall":"Strict","sensor":"Authenticated","historian":"OpenTelemetry"},"#,
+            r#"{"os":"Linux","plc_firmware":"VendorAStock","dialect":"Classic","firewall":"Permissive","sensor":"Commodity","historian":"CommercialSuite"}],"#,
+            r#""links":[{"a":[0],"b":[1]},{"a":[1],"b":[2]}]}"#
+        );
+        (net, json)
+    }
+
+    #[test]
+    fn serializes_to_the_pinned_wire_shape() {
+        let (net, json) = wire_net();
+        assert_eq!(serde_json::to_string(&net).unwrap(), json);
+        let back: ScadaNetwork = serde_json::from_str(json).unwrap();
+        assert_eq!(back.profiles(), net.profiles());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    fn parse(json: &str) -> Result<ScadaNetwork, serde_json::Error> {
+        serde_json::from_str(json)
+    }
+
+    #[test]
+    fn json_with_a_short_per_node_array_is_rejected() {
+        let (_, json) = wire_net();
+        let bad = json.replace(r#""Hmi","Plc"]"#, r#""Hmi"]"#);
+        let err = parse(&bad).unwrap_err().to_string();
+        assert!(err.contains("3 names but 2 roles"), "{err}");
+    }
+
+    #[test]
+    fn json_with_a_link_endpoint_out_of_range_is_rejected() {
+        let (_, json) = wire_net();
+        let bad = json.replace(r#"{"a":[1],"b":[2]}"#, r#"{"a":[1],"b":[3]}"#);
+        let err = parse(&bad).unwrap_err().to_string();
+        assert!(err.contains("leaves the 3-node network"), "{err}");
+    }
+
+    #[test]
+    fn json_with_a_self_loop_link_is_rejected() {
+        let (_, json) = wire_net();
+        let bad = json.replace(r#"{"a":[1],"b":[2]}"#, r#"{"a":[1],"b":[1]}"#);
+        let err = parse(&bad).unwrap_err().to_string();
+        assert!(err.contains("self-loop"), "{err}");
     }
 }

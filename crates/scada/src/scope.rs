@@ -15,7 +15,7 @@
 
 use crate::components::ComponentProfile;
 use crate::device::{Actuator, ActuatorKind, MeasuredQuantity, Sensor};
-use crate::network::{NodeId, NodeRole, ScadaNetwork, Zone};
+use crate::network::{NodeId, NodeRole, Plant, ScadaNetwork, Zone};
 use crate::physics::{CoolingPlant, CracParams, RackParams};
 use crate::plc::{cooling_control_program, Plc};
 use diversify_des::{RngStream, StreamId};
@@ -90,8 +90,7 @@ impl ScopeSystem {
             config.racks > 0 && config.cracs > 0,
             "non-empty plant required"
         );
-        let p = config.baseline_profile;
-        let mut net = ScadaNetwork::new();
+        let mut net = Plant::default();
 
         // Corporate zone.
         let office: Vec<NodeId> = (0..config.office_workstations)
@@ -100,19 +99,17 @@ impl ScopeSystem {
                     format!("office-{i}"),
                     NodeRole::OfficeWorkstation,
                     Zone::Corporate,
-                    p,
                 )
             })
             .collect();
 
         // Control-center zone.
-        let hmi = net.add_node("hmi", NodeRole::Hmi, Zone::ControlCenter, p);
-        let historian = net.add_node("historian", NodeRole::Historian, Zone::ControlCenter, p);
+        let hmi = net.add_node("hmi", NodeRole::Hmi, Zone::ControlCenter);
+        let historian = net.add_node("historian", NodeRole::Historian, Zone::ControlCenter);
         let engineering = net.add_node(
             "engineering",
             NodeRole::EngineeringWorkstation,
             Zone::ControlCenter,
-            p,
         );
         net.connect(hmi, historian);
         net.connect(hmi, engineering);
@@ -128,12 +125,7 @@ impl ScopeSystem {
         let gateway_count = config.cracs.div_ceil(2);
         let gateways: Vec<NodeId> = (0..gateway_count)
             .map(|i| {
-                let g = net.add_node(
-                    format!("gateway-{i}"),
-                    NodeRole::FieldGateway,
-                    Zone::Field,
-                    p,
-                );
+                let g = net.add_node(format!("gateway-{i}"), NodeRole::FieldGateway, Zone::Field);
                 net.connect(hmi, g);
                 net.connect(engineering, g);
                 g
@@ -141,15 +133,17 @@ impl ScopeSystem {
             .collect();
         let plc_nodes: Vec<NodeId> = (0..config.cracs)
             .map(|i| {
-                let plc = net.add_node(format!("plc-{i}"), NodeRole::Plc, Zone::Field, p);
+                let plc = net.add_node(format!("plc-{i}"), NodeRole::Plc, Zone::Field);
                 net.connect(gateways[i / 2], plc);
                 plc
             })
             .collect();
 
+        let profiles = vec![config.baseline_profile; net.node_count()];
         ScopeSystem {
             config: config.clone(),
-            network: net,
+            network: ScadaNetwork::from_parts(net, profiles)
+                .expect("generated plants are consistent"),
             plc_nodes,
             hmi,
             historian,

@@ -6,9 +6,15 @@
 //! semantic oracle: for every network, threat model and seed, the
 //! frontier engine must be **bit-identical** to it — same outcome, same
 //! per-tick ratio curve, same scalar stats. This suite checks that over
-//! the hand-built SCoPE network and randomized generated fleets.
+//! the hand-built SCoPE network and randomized generated fleets, the
+//! latter diversified so that nodes carry different profiles and the
+//! simulator's per-node tables are checked against the oracle's live
+//! catalog evaluation where they differ.
 
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
+use diversify::diversity::config::DiversityConfig;
+use diversify::diversity::placement::{apply_placement, PlacementStrategy};
+use diversify::scada::components::{ComponentClass, ComponentProfile};
 use diversify::scada::fleet::{FleetConfig, FleetSystem};
 use diversify::scada::network::ScadaNetwork;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
@@ -25,6 +31,29 @@ fn threat_for(kind: u8) -> ThreatModel {
         0 => ThreatModel::stuxnet_like(),
         1 => ThreatModel::duqu_like(),
         _ => ThreatModel::flame_like(),
+    }
+}
+
+/// Number of [`apply_diversity`] kinds.
+const DIVERSITY_KINDS: usize = 3 + ComponentClass::ALL.len();
+
+/// Rewrites the profiles of `net` by one of the shipped diversity
+/// configurations — monoculture, full rotation, or one rotated class —
+/// or, for the last kind, a strategic placement of `k` hardened nodes.
+fn apply_diversity(net: &mut ScadaNetwork, kind: usize, k: usize) {
+    match kind {
+        0 => DiversityConfig::monoculture().apply(net),
+        1 => DiversityConfig::full_rotation().apply(net),
+        c if c < DIVERSITY_KINDS - 1 => {
+            DiversityConfig::rotate_only(ComponentClass::ALL[c - 2]).apply(net);
+        }
+        _ => {
+            apply_placement(
+                net,
+                PlacementStrategy::Strategic { k },
+                ComponentProfile::hardened(),
+            );
+        }
     }
 }
 
@@ -74,7 +103,8 @@ proptest! {
     /// Frontier ≡ reference on randomized plant families: plant count,
     /// substation fan-out, PLC density and the generator seed all vary,
     /// so the fleets range from a single sparse plant (~30 nodes) to a
-    /// few hundred nodes with redundant gateway links.
+    /// few hundred nodes with redundant gateway links. Each fleet is
+    /// then diversified (see [`apply_diversity`]).
     #[test]
     fn frontier_matches_reference_on_random_fleets(
         plants in 1usize..4,
@@ -85,6 +115,8 @@ proptest! {
         threat_kind in 0u8..3,
         campaign_seed in any::<u64>(),
         detection_stops_attack in any::<bool>(),
+        diversity in 0..DIVERSITY_KINDS,
+        hardened in 0usize..12,
     ) {
         let config = FleetConfig {
             plants,
@@ -94,13 +126,14 @@ proptest! {
             seed: fleet_seed,
             ..FleetConfig::default()
         };
-        let fleet = FleetSystem::build(&config);
+        let mut net = FleetSystem::build(&config).network().clone();
+        apply_diversity(&mut net, diversity, hardened);
         let campaign = CampaignConfig {
             max_ticks: 24 * 10,
             detection_stops_attack,
         };
         assert_paths_agree(
-            fleet.network(),
+            &net,
             threat_for(threat_kind),
             campaign,
             &[campaign_seed, campaign_seed.wrapping_add(1)],
