@@ -41,7 +41,7 @@
 use crate::exploit::ExploitCatalog;
 use crate::frontier::ActiveSet;
 use crate::stage::{AttackStage, NodeCompromise};
-use diversify_des::{derive_seed, Executor, ReplicationPlan, RngStream, StreamId};
+use diversify_des::{derive_seed, Executor, IndexDraw, ReplicationPlan, RngStream, StreamId};
 use diversify_scada::components::{ComponentProfile, FirewallPolicy, OsVariant, PlcFirmware};
 use diversify_scada::network::{NodeId, NodeRole, ScadaNetwork, Topology, Zone};
 use diversify_scada::ProtocolDialect;
@@ -766,6 +766,36 @@ pub struct CampaignSimulator<'n> {
     /// here because profiles cannot change while the simulator borrows
     /// the network.
     tables: ProbTables,
+    /// `lateral_draws[d - 1]` draws a neighbor position of a degree-`d`
+    /// node, for every degree up to the topology's maximum: the lateral
+    /// loop's bounded draws without a division.
+    lateral_draws: Vec<IndexDraw>,
+    /// PLCs that must be reprogrammed to meet an
+    /// [`AttackGoal::ImpairDevices`] goal (see [`goal_plcs`]); `usize::MAX`
+    /// under other goals.
+    goal_plcs: usize,
+}
+
+/// The fewest reprogrammed PLCs `r` in `0..=plcs` for which the dense
+/// reference's goal test `r as f64 / plcs.max(1) as f64 >= fraction`
+/// holds, or `plcs + 1` when none does. The quotient never falls as `r`
+/// grows (IEEE division rounds monotonically), so the counts that pass
+/// are a suffix of `0..=plcs`, and a binary search over that same
+/// expression finds where it starts: the stepper's integer test
+/// `reprogrammed >= goal_plcs` then agrees with the f64 test at every
+/// count.
+fn goal_plcs(fraction: f64, plcs: usize) -> usize {
+    let total = plcs.max(1) as f64;
+    let (mut lo, mut hi) = (0, plcs + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if mid as f64 / total >= fraction {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 impl<'n> CampaignSimulator<'n> {
@@ -775,7 +805,8 @@ impl<'n> CampaignSimulator<'n> {
     /// catalog values in them are computed once per node class (OS,
     /// dialect, firewall, PLC firmware, role and zone), not once per
     /// node, and the CSR topology is the network's shared cache, built
-    /// at most once per plant.
+    /// at most once per plant. The lateral draws cost one [`IndexDraw`]
+    /// per degree up to the topology's recorded maximum.
     #[must_use]
     pub fn new(network: &'n ScadaNetwork, threat: ThreatModel, config: CampaignConfig) -> Self {
         let topo = network.topology();
@@ -799,6 +830,11 @@ impl<'n> CampaignSimulator<'n> {
             .unwrap_or_default();
         let (tables, payload_p) =
             ProbTables::build(network, &threat, &historian_profile, &sensor_profile);
+        let lateral_draws = (1..=topo.max_degree()).map(IndexDraw::new).collect();
+        let goal_plcs = match threat.goal {
+            AttackGoal::ImpairDevices { fraction } => goal_plcs(fraction, plc_ids.len()),
+            AttackGoal::Exfiltrate { .. } => usize::MAX,
+        };
         CampaignSimulator {
             network,
             topo,
@@ -811,6 +847,8 @@ impl<'n> CampaignSimulator<'n> {
             historian_profile,
             sensor_profile,
             tables,
+            lateral_draws,
+            goal_plcs,
         }
     }
 
@@ -889,13 +927,14 @@ impl<'n> CampaignSimulator<'n> {
     /// the body of the historical `run_into` tick loop, draw for draw,
     /// so the stepper stays bit-identical to
     /// [`CampaignSimulator::run_reference`]. Per-node probabilities
-    /// come from the precomputed [`ProbTables`].
+    /// come from the precomputed [`ProbTables`], lateral draws from the
+    /// per-degree [`IndexDraw`]s (the same indexes `RngStream::index`
+    /// returns) and the goal test from the precomputed PLC count.
     fn step_tick(&self, ws: &mut CampaignWorkspace, pr: &mut Progress, rng: &mut RngStream) {
         let probs = &self.tables;
         let net = self.network;
         let topo = self.topo;
         let n = pr.nodes;
-        let total_plcs = self.plc_ids.len().max(1);
         pr.tick += 1;
         let tick = pr.tick;
         let CampaignWorkspace {
@@ -975,8 +1014,10 @@ impl<'n> CampaignSimulator<'n> {
                 let src = NodeId::from_index(s);
                 let neighbors = topo.neighbors(src);
                 let src_ctx = probs.src_ctx(src);
+                // A frontier node has a clean neighbor, so `len() >= 1`.
+                let draw = &self.lateral_draws[neighbors.len() - 1];
                 for _ in 0..self.threat.attempts_per_tick {
-                    let dst = neighbors[rng.index(neighbors.len())];
+                    let dst = neighbors[rng.draw_index(draw)];
                     if states[dst.index()] != NodeCompromise::Clean {
                         continue;
                     }
@@ -1063,10 +1104,8 @@ impl<'n> CampaignSimulator<'n> {
 
         // Goal evaluation.
         match self.threat.goal {
-            AttackGoal::ImpairDevices { fraction } => {
-                if pr.time_to_attack.is_none()
-                    && (pr.reprogrammed as f64 / total_plcs as f64) >= fraction
-                {
+            AttackGoal::ImpairDevices { .. } => {
+                if pr.time_to_attack.is_none() && pr.reprogrammed >= self.goal_plcs {
                     pr.time_to_attack = Some(tick);
                 }
             }
@@ -1224,11 +1263,13 @@ impl<'n> CampaignSimulator<'n> {
     /// differential oracle for the frontier engine: every call allocates
     /// fresh buffers and every tick rescans *all* nodes, checking stage
     /// eligibility (state, clean-neighbor availability, payload
-    /// preconditions) at visit time in ascending id order. Differential
-    /// and property tests prove [`CampaignSimulator::run`] /
-    /// [`CampaignSimulator::run_into`] reproduce it bit for bit; the
-    /// `campaign_fleet_scaling` bench measures the frontier path against
-    /// it.
+    /// preconditions) at visit time in ascending id order. It keeps the
+    /// plain forms of what the stepper precomputes — `RngStream::index`
+    /// for lateral draws, the f64 goal test — so the differential checks
+    /// those too. Differential and property tests prove
+    /// [`CampaignSimulator::run`] / [`CampaignSimulator::run_into`]
+    /// reproduce it bit for bit; the `campaign_fleet_scaling` bench
+    /// measures the frontier path against it.
     #[must_use]
     pub fn run_reference(&self, seed: u64) -> CampaignOutcome {
         let net = self.network;
@@ -1645,6 +1686,30 @@ mod tests {
         ScopeSystem::build(&ScopeConfig::default())
             .network()
             .clone()
+    }
+
+    #[test]
+    fn goal_plcs_agrees_with_the_float_goal_test_at_every_count() {
+        for plcs in [0usize, 1, 2, 3, 7, 10, 49, 100, 1000] {
+            let total = plcs.max(1) as f64;
+            // Every exact quotient and its neighbouring doubles, plus
+            // fractions no count meets or every count meets.
+            let mut fractions = vec![-1.0, 0.0, 1e-300, 1.0, 2.0, f64::NAN, f64::INFINITY];
+            for r in 0..=plcs {
+                let q = r as f64 / total;
+                fractions.extend([q, f64::from_bits(q.to_bits() + 1), q * 0.999_999_9]);
+            }
+            for fraction in fractions {
+                let goal = goal_plcs(fraction, plcs);
+                for r in 0..=plcs {
+                    assert_eq!(
+                        r >= goal,
+                        r as f64 / total >= fraction,
+                        "plcs {plcs}, fraction {fraction}, r {r}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! revisited, mutations ahead of it are seen this pass, exactly the
 //! semantics of a dense ascending scan that re-checks eligibility at
 //! visit time.
+//!
+//! `next_at_or_after` is split for the tick loop that calls it once per
+//! visit: an inlined fast path reads only the cursor's level-0 word and
+//! returns the next member in it, or `None` when that word is the set's
+//! last (every traversal of a plant of at most 64 nodes ends there). Only
+//! when the word is exhausted and others follow does it call the
+//! out-of-line, `#[cold]` summary climb through levels 1 and 2.
 
 /// Bits of `word` strictly above `bit`.
 fn after_mask(bit: usize) -> u64 {
@@ -153,18 +160,28 @@ impl ActiveSet {
     ///     // visit i; inserts/removes at any position are fine here
     /// }
     /// ```
+    #[inline]
     #[must_use]
     pub fn next_at_or_after(&self, from: usize) -> Option<usize> {
-        if self.len == 0 || from >= self.capacity {
-            return None;
-        }
+        // Bits at or above `capacity` are never set, so a `from` past it
+        // finds nothing in its word, or has no word at all.
         let w0 = from / 64;
-        let bits = self.l0[w0] & (!0u64 << (from % 64));
+        let bits = *self.l0.get(w0)? & (!0u64 << (from % 64));
         if bits != 0 {
             return Some(w0 * 64 + bits.trailing_zeros() as usize);
         }
-        // Current word exhausted: climb the summaries for the next
-        // non-empty level-0 word.
+        if self.len == 0 || w0 + 1 == self.l0.len() {
+            return None;
+        }
+        self.next_after_word(w0)
+    }
+
+    /// The smallest member in a level-0 word after `w0`: the summary
+    /// climb of [`ActiveSet::next_at_or_after`] once the cursor's word
+    /// is exhausted, kept out of line so the caller's fast path stays
+    /// small.
+    #[cold]
+    fn next_after_word(&self, w0: usize) -> Option<usize> {
         let w1 = w0 / 64;
         let bits1 = self.l1[w1] & after_mask(w0 % 64);
         let next_w0 = if bits1 != 0 {
@@ -281,32 +298,70 @@ mod tests {
         assert_eq!(collect(&set), vec![42]);
     }
 
+    /// Inserts or removes `i` in both the set and its model.
+    fn apply(set: &mut ActiveSet, model: &mut BTreeSet<usize>, i: usize, insert: bool) {
+        if insert {
+            set.insert(i);
+            model.insert(i);
+        } else {
+            set.remove(i);
+            model.remove(&i);
+        }
+    }
+
+    /// [`ActiveSet`] against a `BTreeSet` model at capacities on and
+    /// around every word and summary boundary, sparse and dense. After
+    /// random inserts and removes the contents and range queries agree;
+    /// then a cursor traversal mutates the set as it goes (removing the
+    /// visited index, inserting and removing both ahead of and behind the
+    /// cursor), and each visit must be the documented one: the smallest
+    /// member at or after the cursor in the set as it stands.
     #[test]
     fn matches_btreeset_under_random_operations() {
         let mut rng = RngStream::new(0xB17, StreamId(1));
-        let cap = 70_000;
-        let mut set = ActiveSet::with_capacity(cap);
-        let mut model = BTreeSet::new();
-        for _ in 0..20_000 {
-            let i = rng.index(cap);
-            if rng.bernoulli(0.6) {
-                set.insert(i);
-                model.insert(i);
-            } else {
-                set.remove(i);
-                model.remove(&i);
+        for cap in [1, 12, 63, 64, 65, 4095, 4096, 4097, 262_144, 262_145] {
+            for ops in [40, 20_000] {
+                let mut set = ActiveSet::with_capacity(cap);
+                let mut model = BTreeSet::new();
+                for _ in 0..ops {
+                    let i = rng.index(cap);
+                    apply(&mut set, &mut model, i, rng.bernoulli(0.6));
+                }
+                let mut cursor = 0;
+                loop {
+                    let next = set.next_at_or_after(cursor);
+                    assert_eq!(
+                        next,
+                        model.range(cursor..).next().copied(),
+                        "cap {cap}, cursor {cursor}"
+                    );
+                    let Some(i) = next else { break };
+                    cursor = i + 1;
+                    if rng.bernoulli(0.5) {
+                        apply(&mut set, &mut model, i, false);
+                    }
+                    if cursor < cap {
+                        let ahead = cursor + rng.index(cap - cursor);
+                        apply(&mut set, &mut model, ahead, rng.bernoulli(0.3));
+                    }
+                    if i > 0 {
+                        let behind = rng.index(i);
+                        apply(&mut set, &mut model, behind, rng.bernoulli(0.5));
+                    }
+                }
+                assert_eq!(set.len(), model.len());
+                assert_eq!(collect(&set), model.iter().copied().collect::<Vec<_>>());
+                // Spot-check next_at_or_after against the model's range
+                // query, including cursors past the capacity.
+                for _ in 0..200 {
+                    let from = rng.index(cap + 70);
+                    assert_eq!(
+                        set.next_at_or_after(from),
+                        model.range(from..).next().copied(),
+                        "cap {cap}, from {from}"
+                    );
+                }
             }
-        }
-        assert_eq!(set.len(), model.len());
-        assert_eq!(collect(&set), model.iter().copied().collect::<Vec<_>>());
-        // Spot-check next_at_or_after against the model's range query.
-        for _ in 0..200 {
-            let from = rng.index(cap + 10);
-            assert_eq!(
-                set.next_at_or_after(from),
-                model.range(from..).next().copied(),
-                "from {from}"
-            );
         }
     }
 

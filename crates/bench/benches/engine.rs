@@ -7,6 +7,9 @@
 //! engines. The model is compiled once, outside the timed loop, so the
 //! samples measure simulation only; the printed mean time divided by the
 //! events-per-iteration line gives the per-event cost.
+//!
+//! `rng_draws` prices one `index`, `draw_index` and `bernoulli` draw, in
+//! ns.
 
 // Bench harness: the unwrap/expect ban (clippy.toml) is the library
 // discipline of diversify-des/diversify-core; a bench aborting on a
@@ -27,6 +30,7 @@ use diversify_core::exec::{
     accept_all, campaign_plan, Executor, IndicatorsCollector, ReplicationPlan, RunPolicy, RunSpec,
 };
 use diversify_core::runner::{measure_configuration_run, PrecisionTarget};
+use diversify_des::{IndexDraw, RngStream, StreamId};
 use diversify_diversity::config::DiversityConfig;
 use diversify_san::Engine;
 use diversify_scada::fleet::{FleetConfig, FleetSystem};
@@ -230,6 +234,37 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     g.finish();
 }
 
+/// Draws per iteration of the `rng_draws` targets: the printed time of
+/// one iteration in ms is the price of one draw in ns.
+const DRAWS: usize = 1_000_000;
+
+/// The unit price of a draw: `RngStream::index(n)` (the dense oracle's
+/// lateral draw) and the precomputed `IndexDraw` the stepper's lateral
+/// loop uses, at the small bounds lateral draws see, next to
+/// `bernoulli`. The bound goes through `black_box`, so `index` divides
+/// at run time as it does when `n` is a node's degree.
+fn bench_rng_draws(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rng_draws");
+    g.sample_size(10);
+    let mut rng = RngStream::new(0xD8A3, StreamId(1));
+    println!("rng_draws workload: {DRAWS} draws per iteration (ms per iteration = ns per draw)");
+    for n in [1usize, 3, 12] {
+        let n = black_box(n);
+        g.bench_function(&format!("index_{n}"), |b| {
+            b.iter(|| (0..DRAWS).fold(0usize, |acc, _| acc.wrapping_add(rng.index(n))))
+        });
+        let draw = IndexDraw::new(n);
+        g.bench_function(&format!("draw_index_{n}"), |b| {
+            b.iter(|| (0..DRAWS).fold(0usize, |acc, _| acc.wrapping_add(rng.draw_index(&draw))))
+        });
+    }
+    let p = black_box(0.3);
+    g.bench_function("bernoulli", |b| {
+        b.iter(|| (0..DRAWS).filter(|_| rng.bernoulli(p)).count())
+    });
+    g.finish();
+}
+
 /// Rare-event estimation cost: one multilevel-splitting pass over the
 /// all-exponential four-stage rare chain (P_SA ≈ 1e-7, the R11 design
 /// point) next to a brute-force batch of full-chain walks at a
@@ -309,6 +344,7 @@ fn bench_indicator_service(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_rng_draws,
     bench_engine,
     bench_fleet_scaling,
     bench_rare_event_splitting,

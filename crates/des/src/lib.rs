@@ -102,7 +102,7 @@ pub use exec::{
 };
 pub use faults::{FaultKind, FaultPlan, InjectedPanic};
 pub use observe::TimeWeighted;
-pub use rng::{derive_seed, RngStream, StreamId};
+pub use rng::{derive_seed, IndexDraw, RngStream, StreamId};
 pub use splitting::{
     LevelRun, LevelSummary, Splitting, SplittingRun, StagedTask, SPLITTING_STREAM_NAMESPACE,
 };

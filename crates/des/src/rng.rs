@@ -114,6 +114,11 @@ impl RngStream {
 
     /// Draws an integer uniformly from `0..n`.
     ///
+    /// Each call divides twice: once for the rejection zone and once for
+    /// the remainder. Hot loops that draw from a fixed `n` should build
+    /// an [`IndexDraw`] once and call [`RngStream::draw_index`], which
+    /// returns the same indexes with multiplications only.
+    ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
@@ -126,6 +131,19 @@ impl RngStream {
             let v = self.rng.next_u64();
             if v < zone {
                 return (v % n64) as usize;
+            }
+        }
+    }
+
+    /// Draws an integer uniformly from `0..n`, for the `n` that `draw`
+    /// was built for: the same value [`RngStream::index`] returns, from
+    /// the same `next_u64` values, without a division.
+    #[inline]
+    pub fn draw_index(&mut self, draw: &IndexDraw) -> usize {
+        loop {
+            let v = self.rng.next_u64();
+            if v < draw.zone {
+                return draw.reduce(v);
             }
         }
     }
@@ -251,6 +269,66 @@ impl RngStream {
     }
 }
 
+/// A bounded-index draw over `0..n` with its divisions done once, up
+/// front: the rejection zone of [`RngStream::index`] and the reciprocal
+/// `m = ⌊u64::MAX / n⌋`.
+///
+/// [`RngStream::draw_index`] consumes exactly the `next_u64` values
+/// `index(n)` consumes and returns exactly the same `v % n`, from a high
+/// multiply and one conditional subtraction (division by an invariant
+/// integer, Granlund & Montgomery 1994). A multiply-shift mapping
+/// without the remainder would be cheaper still, but it returns
+/// different indexes, and so different trajectories.
+///
+/// # Examples
+///
+/// ```
+/// use diversify_des::{IndexDraw, RngStream, StreamId};
+/// let draw = IndexDraw::new(12);
+/// let mut a = RngStream::new(7, StreamId(1));
+/// let mut b = RngStream::new(7, StreamId(1));
+/// for _ in 0..100 {
+///     assert_eq!(a.draw_index(&draw), b.index(12));
+/// }
+/// assert_eq!(a.uniform(), b.uniform());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexDraw {
+    n: u64,
+    /// `m · n = u64::MAX − u64::MAX % n`, the zone of `index(n)`: draws
+    /// at or above it are rejected.
+    zone: u64,
+    /// `⌊u64::MAX / n⌋`.
+    m: u64,
+}
+
+impl IndexDraw {
+    /// Precomputes the draw over `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0, "index requires non-empty range");
+        let n = n as u64;
+        let m = u64::MAX / n;
+        IndexDraw { n, zone: m * n, m }
+    }
+
+    /// `v % n`, for every `v`. The quotient estimate `⌊v · m / 2^64⌋`
+    /// falls short of `⌊v / n⌋` by at most one, since
+    /// `v/n − v·m/2^64 = v · (2^64 − m·n) / (n · 2^64) ≤ v / 2^64 < 1`
+    /// (`2^64 − m·n = u64::MAX % n + 1 ≤ n`), so the first remainder is
+    /// below `2n` and one subtraction of `n` finishes it.
+    #[inline]
+    fn reduce(&self, v: u64) -> usize {
+        let q = ((u128::from(v) * u128::from(self.m)) >> 64) as u64;
+        let r = v - q * self.n;
+        (if r >= self.n { r - self.n } else { r }) as usize
+    }
+}
+
 impl RngCore for RngStream {
     fn next_u32(&mut self) -> u32 {
         self.rng.next_u32()
@@ -269,6 +347,7 @@ impl RngCore for RngStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn streams_are_reproducible() {
@@ -345,6 +424,60 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 600.0, "counts {counts:?}");
         }
+    }
+
+    /// The bounds every case of [`index_draw_matches_index`] covers: the
+    /// small lateral degrees, each power of two with its neighbours, and
+    /// the bounds with the widest rejection zones.
+    fn edge_bounds() -> Vec<usize> {
+        let mut ns: Vec<u64> = vec![1, 2, 3, 12, (1 << 32) - 1, (1 << 63) + 1, u64::MAX];
+        for k in 1..64 {
+            let p = 1u64 << k;
+            ns.extend([p - 1, p, p + 1]);
+        }
+        ns.into_iter()
+            .filter_map(|n| usize::try_from(n).ok())
+            .collect()
+    }
+
+    /// 256 draws from `0..n` agree between [`IndexDraw`] and `index`,
+    /// the two streams stay in step, and the remainder equals `%` at the
+    /// edges of the divisor and of the rejection zone.
+    fn assert_draw_matches_index(n: usize, seed: u64) {
+        let draw = IndexDraw::new(n);
+        let mut fast = RngStream::new(seed, StreamId(5));
+        let mut oracle = RngStream::new(seed, StreamId(5));
+        for k in 0..256 {
+            let i = fast.draw_index(&draw);
+            assert_eq!(i, oracle.index(n), "n={n} seed={seed} draw {k}");
+        }
+        assert_eq!(fast.next_u64(), oracle.next_u64(), "n={n} seed={seed}");
+        let n64 = n as u64;
+        for v in [0, n64 - 1, n64, draw.zone - 1, draw.zone, u64::MAX] {
+            assert_eq!(draw.reduce(v) as u64, v % n64, "n={n} v={v}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The precomputed draw is `index` without the divisions, over
+        /// random seeds: the edge bounds plus one random bound per case
+        /// (a random value cut to a random bit width, so small and huge
+        /// bounds both occur).
+        #[test]
+        fn index_draw_matches_index(seed in any::<u64>(), raw in any::<u64>(), bits in 1u32..=64) {
+            let random = usize::try_from((raw >> (64 - bits)).max(1)).unwrap_or(usize::MAX);
+            for n in edge_bounds().into_iter().chain([random]) {
+                assert_draw_matches_index(n, seed);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn index_draw_rejects_empty_range() {
+        let _ = IndexDraw::new(0);
     }
 
     #[test]

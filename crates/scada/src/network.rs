@@ -167,6 +167,8 @@ pub struct Topology {
     by_role: Vec<Vec<NodeId>>,
     /// Node ids per [`Zone`] (indexed by [`Zone::index`]).
     by_zone: Vec<Vec<NodeId>>,
+    /// The largest node degree (0 without links).
+    max_degree: usize,
 }
 
 impl Topology {
@@ -175,13 +177,16 @@ impl Topology {
             n < u32::MAX as usize && links.len() < (u32::MAX / 2) as usize,
             "node/link counts exceed the CSR u32 offset range"
         );
-        // Counting pass.
+        // Counting pass. Before the prefix sum, `offsets[i + 1]` is node
+        // `i`'s degree, so the maximum comes with it.
         let mut offsets = vec![0u32; n + 1];
         for l in links {
             offsets[l.a.0 + 1] += 1;
             offsets[l.b.0 + 1] += 1;
         }
+        let mut max_degree = 0;
         for i in 0..n {
+            max_degree = max_degree.max(offsets[i + 1]);
             offsets[i + 1] += offsets[i];
         }
         // Fill pass, in link insertion order: node `a` receives `b` in
@@ -207,6 +212,7 @@ impl Topology {
             neighbors,
             by_role,
             by_zone,
+            max_degree: max_degree as usize,
         }
     }
 
@@ -228,6 +234,13 @@ impl Topology {
     #[must_use]
     pub fn degree(&self, id: NodeId) -> usize {
         (self.offsets[id.0 + 1] - self.offsets[id.0]) as usize
+    }
+
+    /// The largest [`Topology::degree`] of any node; 0 for a network
+    /// without links.
+    #[must_use]
+    pub fn max_degree(&self) -> usize {
+        self.max_degree
     }
 
     /// Ids of nodes with a given role, ascending.
@@ -733,6 +746,8 @@ mod tests {
         assert_eq!(net.neighbors(corp), &[hmi]);
         assert_eq!(net.degree(hmi), 3);
         assert_eq!(net.degree(plc2), 1);
+        assert_eq!(net.topology().max_degree(), 3);
+        assert_eq!(ScadaNetwork::new().topology().max_degree(), 0);
     }
 
     #[test]
