@@ -157,7 +157,7 @@ impl FleetSystem {
             let offices: Vec<NodeId> = (0..config.offices_per_plant)
                 .map(|i| {
                     net.add_node(
-                        format!("p{plant}-office-{i}"),
+                        format_args!("p{plant}-office-{i}"),
                         NodeRole::OfficeWorkstation,
                         Zone::Corporate,
                     )
@@ -168,14 +168,18 @@ impl FleetSystem {
             }
 
             // Control-center zone: the SCoPE triangle.
-            let hmi = net.add_node(format!("p{plant}-hmi"), NodeRole::Hmi, Zone::ControlCenter);
+            let hmi = net.add_node(
+                format_args!("p{plant}-hmi"),
+                NodeRole::Hmi,
+                Zone::ControlCenter,
+            );
             let historian = net.add_node(
-                format!("p{plant}-historian"),
+                format_args!("p{plant}-historian"),
                 NodeRole::Historian,
                 Zone::ControlCenter,
             );
             let engineering = net.add_node(
-                format!("p{plant}-engineering"),
+                format_args!("p{plant}-engineering"),
                 NodeRole::EngineeringWorkstation,
                 Zone::ControlCenter,
             );
@@ -194,7 +198,7 @@ impl FleetSystem {
             let mut plcs = Vec::new();
             for sub in 0..config.substations_per_plant {
                 let gw = net.add_node(
-                    format!("p{plant}-gw-{sub}"),
+                    format_args!("p{plant}-gw-{sub}"),
                     NodeRole::FieldGateway,
                     Zone::Field,
                 );
@@ -206,7 +210,7 @@ impl FleetSystem {
                     .max(1);
                 for i in 0..count {
                     let plc = net.add_node(
-                        format!("p{plant}-plc-{sub}-{i}"),
+                        format_args!("p{plant}-plc-{sub}-{i}"),
                         NodeRole::Plc,
                         Zone::Field,
                     );

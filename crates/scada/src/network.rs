@@ -3,17 +3,24 @@
 //!
 //! # Representation
 //!
-//! Node state is stored **structure-of-arrays** (names, roles, zones and
-//! component profiles as parallel vectors), and the link structure is
-//! served from a **CSR topology** (a flat neighbor array indexed by
-//! per-node offsets) with precomputed role and zone indexes. The CSR
-//! view is derived data: it is built lazily on first query after a
-//! topology mutation and cached until the next `add_node`/`connect`, so
-//! construction stays an append-only edge list while every traversal —
-//! campaign propagation, reachability, centrality — runs over two
-//! contiguous arrays. Rebuilds cost O(V + E); alternating mutation and
-//! query pays that price per alternation, so build the plant first and
-//! query after (every generator in this workspace does).
+//! Node state is stored **structure-of-arrays**: roles, zones and
+//! component profiles are parallel vectors, and the names are one buffer
+//! of name bytes with a `u32` end offset per node, so adding a node
+//! allocates nothing of its own. The link structure is served from a
+//! **CSR topology** (a flat neighbor array indexed by per-node offsets)
+//! with precomputed role and zone indexes. The CSR view is derived data:
+//! it is built lazily on first query after a topology mutation and
+//! cached until the next `add_node`/`connect`, so construction stays an
+//! append-only edge list while every traversal — campaign propagation,
+//! reachability, centrality — runs over two contiguous arrays. Rebuilds
+//! cost O(V + E); alternating mutation and query pays that price per
+//! alternation, so build the plant first and query after (every
+//! generator in this workspace does).
+//!
+//! Node ids are 32-bit ([`NodeId`]), so every id array — the CSR
+//! neighbors, the links, the role and zone indexes — takes 4 bytes per
+//! entry. `add_node` panics rather than let an id pass `u32::MAX` or the
+//! name bytes pass 4 GiB.
 //!
 //! Profile rewrites (diversity placement) do **not** invalidate the
 //! cache: the topology depends only on nodes and links.
@@ -34,28 +41,43 @@
 use crate::components::ComponentProfile;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
-/// Identifies a node within one [`ScadaNetwork`].
+/// Identifies a node within one [`ScadaNetwork`]: a 32-bit index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct NodeId(pub(crate) usize);
+pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
     /// The underlying index.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 
     /// Reconstructs a node id from a raw index — for engines that keep
     /// node indexes in their own packed structures (bitsets, counters).
     /// The id is only meaningful for the network whose index space it
     /// came from; out-of-range ids make accessors panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX`.
     #[must_use]
+    #[inline]
     pub fn from_index(index: usize) -> NodeId {
-        NodeId(index)
+        match u32::try_from(index) {
+            Ok(i) => NodeId(i),
+            Err(_) => id_out_of_range(index),
+        }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn id_out_of_range(index: usize) -> ! {
+    panic!("node index {index} exceeds the 32-bit NodeId range")
 }
 
 /// Identifies a link within one [`ScadaNetwork`].
@@ -181,8 +203,8 @@ impl Topology {
         // `i`'s degree, so the maximum comes with it.
         let mut offsets = vec![0u32; n + 1];
         for l in links {
-            offsets[l.a.0 + 1] += 1;
-            offsets[l.b.0 + 1] += 1;
+            offsets[l.a.index() + 1] += 1;
+            offsets[l.b.index() + 1] += 1;
         }
         let mut max_degree = 0;
         for i in 0..n {
@@ -195,17 +217,18 @@ impl Topology {
         let mut cursor = offsets.clone();
         let mut neighbors = vec![NodeId(0); links.len() * 2];
         for l in links {
-            neighbors[cursor[l.a.0] as usize] = l.b;
-            cursor[l.a.0] += 1;
-            neighbors[cursor[l.b.0] as usize] = l.a;
-            cursor[l.b.0] += 1;
+            let (a, b) = (l.a.index(), l.b.index());
+            neighbors[cursor[a] as usize] = l.b;
+            cursor[a] += 1;
+            neighbors[cursor[b] as usize] = l.a;
+            cursor[b] += 1;
         }
         // Role/zone membership: one ascending pass over the SoA arrays.
         let mut by_role = vec![Vec::new(); NodeRole::ALL.len()];
         let mut by_zone = vec![Vec::new(); Zone::ALL.len()];
         for i in 0..n {
-            by_role[roles[i].index()].push(NodeId(i));
-            by_zone[zones[i].index()].push(NodeId(i));
+            by_role[roles[i].index()].push(NodeId(i as u32));
+            by_zone[zones[i].index()].push(NodeId(i as u32));
         }
         Topology {
             offsets,
@@ -223,7 +246,8 @@ impl Topology {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.neighbors[self.offsets[id.0] as usize..self.offsets[id.0 + 1] as usize]
+        let i = id.index();
+        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Number of neighbors of a node.
@@ -233,7 +257,8 @@ impl Topology {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn degree(&self, id: NodeId) -> usize {
-        (self.offsets[id.0 + 1] - self.offsets[id.0]) as usize
+        let i = id.index();
+        (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
     /// The largest [`Topology::degree`] of any node; 0 for a network
@@ -256,13 +281,90 @@ impl Topology {
     }
 }
 
+/// Every node's name in one buffer: name `i` is the bytes from end
+/// `i − 1` (0 for the first name) to end `i`, so a name costs its bytes
+/// plus one `u32`, and adding one allocates only when the buffer grows.
+#[derive(Clone, Default)]
+struct Names {
+    bytes: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Name `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    fn get(&self, i: usize) -> &str {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        &self.bytes[start..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Appends `name` as its `Display` writes it. Returns `false`, with
+    /// the buffer as it was, if the name would end past `u32::MAX`.
+    #[must_use]
+    fn push(&mut self, name: impl fmt::Display) -> bool {
+        let start = self.bytes.len();
+        write!(self.bytes, "{name}").expect("writing to a String cannot fail");
+        match u32::try_from(self.bytes.len()) {
+            Ok(end) => {
+                self.ends.push(end);
+                true
+            }
+            Err(_) => {
+                self.bytes.truncate(start);
+                false
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Names {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The wire form is the plain array of names.
+impl Serialize for Names {
+    fn to_json_value(&self) -> Value {
+        Value::Array(self.iter().map(str::to_json_value).collect())
+    }
+}
+
+impl Deserialize for Names {
+    fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
+        let mut names = Names::default();
+        for name in Vec::<String>::from_json_value(v)? {
+            if !names.push(&name) {
+                return Err(serde::Error::custom(
+                    "node names exceed the 4 GiB name buffer",
+                ));
+            }
+        }
+        Ok(names)
+    }
+}
+
 /// The profile-independent part of a network: structure-of-arrays node
 /// state, the edge list and the derived [`Topology`] cache. Generators
 /// fill one directly and wrap it once with [`ScadaNetwork::from_parts`];
 /// a network shares its plant with all of its clones.
 #[derive(Debug, Default, Deserialize)]
 pub(crate) struct Plant {
-    names: Vec<String>,
+    names: Names,
     roles: Vec<NodeRole>,
     zones: Vec<Zone>,
     links: Vec<Link>,
@@ -288,18 +390,28 @@ impl Clone for Plant {
 }
 
 impl Plant {
-    /// Adds a node and returns its id.
+    /// Adds a node named by `name`'s `Display` output and returns its
+    /// id. The name is written straight into the name buffer, so
+    /// `format_args!` names cost no allocation of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new id would exceed `u32::MAX`, or the name buffer
+    /// `u32::MAX` bytes.
     pub(crate) fn add_node(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         role: NodeRole,
         zone: Zone,
     ) -> NodeId {
+        let id = NodeId::from_index(self.node_count());
+        if !self.names.push(name) {
+            panic!("node names exceed the 4 GiB name buffer");
+        }
         self.topo.take();
-        self.names.push(name.into());
         self.roles.push(role);
         self.zones.push(zone);
-        NodeId(self.names.len() - 1)
+        id
     }
 
     /// Connects two nodes with an undirected link.
@@ -308,10 +420,8 @@ impl Plant {
     ///
     /// Panics if either id is out of range or the link is a self-loop.
     pub(crate) fn connect(&mut self, a: NodeId, b: NodeId) -> LinkId {
-        assert!(
-            a.0 < self.names.len() && b.0 < self.names.len(),
-            "bad node id"
-        );
+        let n = self.node_count();
+        assert!(a.index() < n && b.index() < n, "bad node id");
         assert_ne!(a, b, "self-loops are not allowed");
         self.topo.take();
         self.links.push(Link { a, b });
@@ -353,7 +463,7 @@ impl ScadaNetwork {
         plant: Plant,
         profiles: Vec<ComponentProfile>,
     ) -> Result<Self, serde::Error> {
-        let n = plant.names.len();
+        let n = plant.node_count();
         for (what, len) in [
             ("roles", plant.roles.len()),
             ("zones", plant.zones.len()),
@@ -366,7 +476,7 @@ impl ScadaNetwork {
             }
         }
         for (i, l) in plant.links.iter().enumerate() {
-            if l.a.0 >= n || l.b.0 >= n {
+            if l.a.index() >= n || l.b.index() >= n {
                 return Err(serde::Error::custom(format!(
                     "link {i} ({}–{}) leaves the {n}-node network",
                     l.a.0, l.b.0
@@ -391,11 +501,17 @@ impl ScadaNetwork {
         Arc::make_mut(&mut self.plant)
     }
 
-    /// Adds a node and returns its id. On a clone, this first detaches
-    /// a private copy of the shared plant.
+    /// Adds a node named by `name`'s `Display` output (a `&str`, a
+    /// `String` or `format_args!`) and returns its id. On a clone, this
+    /// first detaches a private copy of the shared plant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new id would exceed `u32::MAX`, or the plant's
+    /// name bytes `u32::MAX`.
     pub fn add_node(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         role: NodeRole,
         zone: Zone,
         profile: ComponentProfile,
@@ -418,7 +534,7 @@ impl ScadaNetwork {
     /// Number of nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.plant.names.len()
+        self.plant.node_count()
     }
 
     /// Number of links.
@@ -436,7 +552,7 @@ impl ScadaNetwork {
     pub fn topology(&self) -> &Topology {
         let p = &*self.plant;
         p.topo
-            .get_or_init(|| Topology::build(p.names.len(), &p.roles, &p.zones, &p.links))
+            .get_or_init(|| Topology::build(p.node_count(), &p.roles, &p.zones, &p.links))
     }
 
     /// Display name of a node.
@@ -446,7 +562,7 @@ impl ScadaNetwork {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn name(&self, id: NodeId) -> &str {
-        &self.plant.names[id.0]
+        self.plant.names.get(id.index())
     }
 
     /// Functional role of a node.
@@ -456,7 +572,7 @@ impl ScadaNetwork {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn role(&self, id: NodeId) -> NodeRole {
-        self.plant.roles[id.0]
+        self.plant.roles[id.index()]
     }
 
     /// Security zone of a node.
@@ -466,7 +582,7 @@ impl ScadaNetwork {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn zone(&self, id: NodeId) -> Zone {
-        self.plant.zones[id.0]
+        self.plant.zones[id.index()]
     }
 
     /// Deployed component variants of a node (where the diversity
@@ -477,7 +593,7 @@ impl ScadaNetwork {
     /// Panics if the id is out of range.
     #[must_use]
     pub fn profile(&self, id: NodeId) -> &ComponentProfile {
-        &self.profiles[id.0]
+        &self.profiles[id.index()]
     }
 
     /// Mutable profile access (used by diversity placement). Touches
@@ -489,7 +605,7 @@ impl ScadaNetwork {
     ///
     /// Panics if the id is out of range.
     pub fn profile_mut(&mut self, id: NodeId) -> &mut ComponentProfile {
-        &mut self.profiles[id.0]
+        &mut self.profiles[id.index()]
     }
 
     /// The per-node profile array (parallel to node ids) — the SoA view
@@ -507,7 +623,7 @@ impl ScadaNetwork {
 
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_count()).map(NodeId)
+        (0..self.node_count()).map(NodeId::from_index)
     }
 
     /// Ids of nodes with a given role, in ascending id order — served
@@ -548,7 +664,7 @@ impl ScadaNetwork {
     /// therefore subject to the target's firewall policy).
     #[must_use]
     pub fn crosses_zone(&self, from: NodeId, to: NodeId) -> bool {
-        self.plant.zones[from.0] != self.plant.zones[to.0]
+        self.plant.zones[from.index()] != self.plant.zones[to.index()]
     }
 
     /// Nodes reachable from `start` (ignoring firewalls) — basic
@@ -594,11 +710,12 @@ impl ScadaNetwork {
             queue.clear();
             queue.push_back(src as u32);
             while let Some(u) = queue.pop_front() {
-                for &NodeId(v) in topo.neighbors(NodeId(u as usize)) {
-                    if stamp[v] != epoch {
-                        stamp[v] = epoch;
-                        parent[v] = u;
-                        queue.push_back(v as u32);
+                for &NodeId(v) in topo.neighbors(NodeId(u)) {
+                    let i = v as usize;
+                    if stamp[i] != epoch {
+                        stamp[i] = epoch;
+                        parent[i] = u;
+                        queue.push_back(v);
                     }
                 }
             }
@@ -616,7 +733,7 @@ impl ScadaNetwork {
                 }
             }
         }
-        let mut out: Vec<(NodeId, f64)> = (0..n).map(|i| (NodeId(i), score[i])).collect();
+        let mut out: Vec<(NodeId, f64)> = self.node_ids().zip(score).collect();
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("scores are finite"));
         out
     }
@@ -629,14 +746,14 @@ impl ScadaNetwork {
         }
         let topo = self.topology();
         let mut dist = vec![usize::MAX; self.node_count()];
-        dist[from.0] = 0;
+        dist[from.index()] = 0;
         let mut q = VecDeque::from([from]);
         while let Some(u) = q.pop_front() {
             for &v in topo.neighbors(u) {
-                if dist[v.0] == usize::MAX {
-                    dist[v.0] = dist[u.0] + 1;
+                if dist[v.index()] == usize::MAX {
+                    dist[v.index()] = dist[u.index()] + 1;
                     if v == to {
-                        return Some(dist[v.0]);
+                        return Some(dist[v.index()]);
                     }
                     q.push_back(v);
                 }
@@ -996,5 +1113,81 @@ mod tests {
         let bad = json.replace(r#"{"a":[1],"b":[2]}"#, r#"{"a":[1],"b":[1]}"#);
         let err = parse(&bad).unwrap_err().to_string();
         assert!(err.contains("self-loop"), "{err}");
+    }
+
+    #[test]
+    fn json_with_a_link_endpoint_past_u32_is_rejected() {
+        // 2^32 + 1 would alias node 1 if it were truncated, turning the
+        // link into a valid duplicate of 1–2.
+        let (_, json) = wire_net();
+        let bad = json.replace(r#"{"a":[1],"b":[2]}"#, r#"{"a":[4294967297],"b":[2]}"#);
+        let err = parse(&bad).unwrap_err().to_string();
+        assert!(err.contains("u32"), "{err}");
+    }
+
+    #[test]
+    fn ids_and_links_are_four_and_eight_bytes() {
+        assert_eq!(std::mem::size_of::<NodeId>(), 4);
+        assert_eq!(std::mem::size_of::<Link>(), 8);
+    }
+
+    #[test]
+    fn node_id_takes_every_u32_index() {
+        assert_eq!(NodeId::from_index(0).index(), 0);
+        let last = u32::MAX as usize;
+        assert_eq!(NodeId::from_index(last).index(), last);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-bit NodeId range")]
+    fn node_id_past_u32_max_panics() {
+        let _ = NodeId::from_index(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn names_round_trip_through_the_buffer_and_the_json() {
+        let mut net = ScadaNetwork::new();
+        let names = ["", "hmi", "Überwachung-β", "", "plc-7"];
+        let ids: Vec<NodeId> = names
+            .iter()
+            .map(|name| net.add_node(name, NodeRole::Plc, Zone::Field, profile()))
+            .collect();
+        let formatted = net.add_node(
+            format_args!("p{}-gw-{}", 3, 14),
+            NodeRole::FieldGateway,
+            Zone::Field,
+            profile(),
+        );
+        for (&id, name) in ids.iter().zip(names) {
+            assert_eq!(net.name(id), name);
+        }
+        assert_eq!(net.name(formatted), "p3-gw-14");
+
+        let json = serde_json::to_string(&net).unwrap();
+        assert!(
+            json.starts_with(r#"{"names":["","hmi","Überwachung-β","","plc-7","p3-gw-14"],"#),
+            "{json}"
+        );
+        let back: ScadaNetwork = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.node_count(), names.len() + 1);
+        for id in net.node_ids() {
+            assert_eq!(back.name(id), net.name(id));
+        }
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn add_node_on_a_clone_leaves_the_original_names_untouched() {
+        let (net, ..) = small_net();
+        let mut copy = net.clone();
+        let extra = copy.add_node("extra-ü", NodeRole::Hmi, Zone::ControlCenter, profile());
+        assert_eq!(copy.name(extra), "extra-ü");
+        assert_eq!(copy.node_count(), 5);
+
+        assert_eq!(net.node_count(), 4);
+        let original: Vec<&str> = net.node_ids().map(|id| net.name(id)).collect();
+        assert_eq!(original, ["corp", "hmi", "plc1", "plc2"]);
+        let copied: Vec<&str> = copy.node_ids().map(|id| copy.name(id)).collect();
+        assert_eq!(copied, ["corp", "hmi", "plc1", "plc2", "extra-ü"]);
     }
 }

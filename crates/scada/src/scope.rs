@@ -96,7 +96,7 @@ impl ScopeSystem {
         let office: Vec<NodeId> = (0..config.office_workstations)
             .map(|i| {
                 net.add_node(
-                    format!("office-{i}"),
+                    format_args!("office-{i}"),
                     NodeRole::OfficeWorkstation,
                     Zone::Corporate,
                 )
@@ -125,7 +125,11 @@ impl ScopeSystem {
         let gateway_count = config.cracs.div_ceil(2);
         let gateways: Vec<NodeId> = (0..gateway_count)
             .map(|i| {
-                let g = net.add_node(format!("gateway-{i}"), NodeRole::FieldGateway, Zone::Field);
+                let g = net.add_node(
+                    format_args!("gateway-{i}"),
+                    NodeRole::FieldGateway,
+                    Zone::Field,
+                );
                 net.connect(hmi, g);
                 net.connect(engineering, g);
                 g
@@ -133,7 +137,7 @@ impl ScopeSystem {
             .collect();
         let plc_nodes: Vec<NodeId> = (0..config.cracs)
             .map(|i| {
-                let plc = net.add_node(format!("plc-{i}"), NodeRole::Plc, Zone::Field);
+                let plc = net.add_node(format_args!("plc-{i}"), NodeRole::Plc, Zone::Field);
                 net.connect(gateways[i / 2], plc);
                 plc
             })

@@ -157,6 +157,23 @@ fn fleet_scale_campaign_is_allocation_free_after_warmup() {
     );
 }
 
+/// Building a fleet writes every node name into the plant's one name
+/// buffer, so the build allocates per plant (its id lists), not per
+/// node: a `String` per name would cost at least one allocation each.
+#[test]
+fn fleet_build_does_not_allocate_per_node() {
+    use diversify::scada::fleet::{FleetConfig, FleetSystem};
+    let config = FleetConfig::sized(20_000, 0xA110C);
+    let before = allocations();
+    let fleet = FleetSystem::build(&config);
+    let delta = allocations() - before;
+    let nodes = fleet.network().node_count() as u64;
+    assert!(
+        delta < nodes / 4,
+        "building a {nodes}-node fleet allocated {delta} times"
+    );
+}
+
 /// The incremental SAN engine on the mid-size SCoPE network-campaign
 /// model: recycling one `SimState` across replications, the second pass
 /// over the same seeds performs zero allocations — calendar slots,
