@@ -6,8 +6,9 @@
 //! attack undergoes before success (e.g., initial, activated, root access,
 //! network propagation, device impairment)"* and notes that Bayesian
 //! networks, Petri nets (SANs) or attack trees can all express the model.
-//! This crate provides **all three formalisms** plus a concrete campaign
-//! simulator that walks a [`diversify_scada::ScadaNetwork`]:
+//! This crate provides **two of those formalisms**, attack trees and SANs,
+//! plus a concrete campaign simulator that walks a
+//! [`diversify_scada::ScadaNetwork`]:
 //!
 //! * [`stage`] — the five-stage progression model;
 //! * [`exploit`] — per-variant success probabilities (the paper's
@@ -22,8 +23,6 @@
 //!   machines, P_SA ≈ P_M vs P_SA ≈ P_M1 × P_M2);
 //! * [`tree`] — attack trees with AND/OR semantics, success probability
 //!   and minimal cut sets;
-//! * [`bayes`] — a small discrete Bayesian network with variable
-//!   elimination;
 //! * [`to_san`] — compiles a stage progression into a
 //!   [`diversify_san::SanModel`] so the SAN solver can cross-check the
 //!   simulator (experiment R8);
@@ -38,7 +37,6 @@
 // crate predates it and is exercised through those hardened seams.
 #![allow(clippy::disallowed_methods)]
 
-pub mod bayes;
 pub mod campaign;
 pub mod chain;
 pub mod exploit;

@@ -20,8 +20,8 @@
 //! serve crate's shard workers, the attack-crate Monte-Carlo helpers,
 //! splitting levels and the bench experiments all build a plan and hand
 //! it to an executor. The one exception is the SAN transient solver's
-//! own two loops (`TransientSolver::solve` and `solve_budgeted`), which
-//! keep their additive seed schedule and a per-replication budget.
+//! own loop (`TransientSolver::solve`), which keeps its additive seed
+//! schedule.
 //! Collectors are mergeable folds, so the same code path serves fixed
 //! plans, parallel partial aggregation, and precision-targeted runs
 //! ([`Executor::execute`] with a [`RunSpec`]).

@@ -1,25 +1,22 @@
 //! # diversify-des
 //!
-//! A deterministic discrete-event simulation (DES) kernel.
-//!
-//! This crate is the bottom-most substrate of the *Diversify!* (DSN 2013)
-//! reproduction. Every stochastic model in the workspace — the stochastic
-//! activity network solver in `diversify-san`, the SCADA plant simulator in
-//! `diversify-scada`, and the attack-campaign engine in `diversify-attack` —
-//! advances virtual time through the [`Engine`] defined here.
+//! The deterministic simulation substrate of the *Diversify!* (DSN 2013)
+//! reproduction: virtual time, an event calendar, stream-split
+//! randomness, and the replication executor every Monte-Carlo workload
+//! in the workspace runs on.
 //!
 //! ## Design
 //!
 //! * **Event calendar** — a binary-heap [`Calendar`] with *stable*
 //!   tie-breaking: events scheduled for the same instant fire in insertion
-//!   order, which keeps replications bit-for-bit reproducible.
+//!   order, which keeps replications bit-for-bit reproducible. The SAN
+//!   simulator in `diversify-san` schedules its activity completions on
+//!   it.
 //! * **Virtual time** — [`SimTime`], a newtype over `f64` seconds that is
 //!   totally ordered and rejects NaN at construction.
 //! * **Deterministic randomness** — [`RngStream`]s derived from a single
 //!   master seed with SplitMix64 so independent model components draw from
 //!   independent, reproducible streams.
-//! * **Stop conditions** — [`StopCondition`] values compose limits on time
-//!   and event count.
 //! * **Observation** — the [`TimeWeighted`] accumulator for
 //!   piecewise-constant signals (moment accumulators live in
 //!   `diversify-stats`).
@@ -31,9 +28,8 @@
 //!   fixed plan, or batch-sized rounds until a [`StopRule`] precision
 //!   target is met, strict or under a [`RunPolicy`]. Every replication
 //!   loop in the workspace goes through this one seam except the SAN
-//!   transient solver's own two loops (`TransientSolver::solve` and
-//!   `solve_budgeted` in `diversify-san`), which keep their additive
-//!   seed schedule and a per-replication budget.
+//!   transient solver's own loop (`TransientSolver::solve` in
+//!   `diversify-san`), which keeps its additive seed schedule.
 //! * **Rare events** — the [`splitting`] module: fixed-effort multilevel
 //!   splitting (RESTART) over the monotone levels of a [`StagedTask`],
 //!   estimating a rare probability as a product of per-level
@@ -52,29 +48,18 @@
 //! ## Example
 //!
 //! ```
-//! use diversify_des::{Engine, Model, Context, SimTime};
+//! use diversify_des::exec::MeanCollector;
+//! use diversify_des::{Executor, Replication, ReplicationPlan, RngStream, StreamId};
 //!
-//! /// A counter that re-schedules itself every second, five times.
-//! struct Ticker { ticks: u32 }
-//!
-//! #[derive(Debug, Clone, PartialEq)]
-//! enum Ev { Tick }
-//!
-//! impl Model for Ticker {
-//!     type Event = Ev;
-//!     fn handle(&mut self, ctx: &mut Context<Ev>, _ev: Ev) {
-//!         self.ticks += 1;
-//!         if self.ticks < 5 {
-//!             ctx.schedule_in(SimTime::from_secs(1.0), Ev::Tick);
-//!         }
-//!     }
-//! }
-//!
-//! let mut engine = Engine::new(Ticker { ticks: 0 }, 42);
-//! engine.schedule_at(SimTime::ZERO, Ev::Tick);
-//! engine.run();
-//! assert_eq!(engine.model().ticks, 5);
-//! assert_eq!(engine.now(), SimTime::from_secs(4.0));
+//! // 4 batches of 25 replications; each draws from its own seeded stream.
+//! let plan = ReplicationPlan::new(4, 25, 42);
+//! let task = |rep: Replication| RngStream::new(rep.seed, StreamId(0)).exponential(2.0);
+//! let serial = Executor::serial().collect(&plan, task, &MeanCollector);
+//! let default = Executor::default().collect(&plan, task, &MeanCollector);
+//! // The fold order is fixed by the plan, so every executor returns the
+//! // same bits.
+//! assert_eq!(serial.to_bits(), default.to_bits());
+//! assert!((serial - 0.5).abs() < 0.2);
 //! ```
 
 #![warn(missing_docs)]
@@ -83,18 +68,14 @@
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod calendar;
-pub mod engine;
 pub mod exec;
 pub mod faults;
 pub mod observe;
 pub mod rng;
 pub mod splitting;
-pub mod stop;
 pub mod time;
 
 pub use calendar::{Calendar, EventToken};
-pub use engine::RunOutcome;
-pub use engine::{Context, Engine, Model};
 pub use exec::{
     Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause, Monitor,
     PartialRun, PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan, Reseed,
@@ -106,5 +87,4 @@ pub use rng::{derive_seed, IndexDraw, RngStream, StreamId};
 pub use splitting::{
     LevelRun, LevelSummary, Splitting, SplittingRun, StagedTask, SPLITTING_STREAM_NAMESPACE,
 };
-pub use stop::StopCondition;
 pub use time::SimTime;

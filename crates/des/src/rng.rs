@@ -221,52 +221,6 @@ impl RngStream {
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
-
-    /// Samples `k` distinct indices from `0..n` (partial Fisher–Yates).
-    ///
-    /// Allocates the `n`-sized pool and the returned vector on every
-    /// call; hot loops should hold a reusable buffer and call
-    /// [`RngStream::sample_indices_into`] instead. The two draw the
-    /// same RNG schedule and produce the same sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut buf = Vec::new();
-        self.sample_indices_into(n, k, &mut buf);
-        buf.truncate(k);
-        buf
-    }
-
-    /// The allocation-reusing form of [`RngStream::sample_indices`]:
-    /// fills `buf` with the `n`-sized pool (reusing its capacity),
-    /// performs the partial Fisher–Yates pass, and leaves the sample in
-    /// `buf[..k]` — the remaining `n - k` entries are the unsampled
-    /// rest of the pool, so callers that only need the sample read the
-    /// prefix. In the steady state (capacity ≥ `n`) the call allocates
-    /// nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn sample_indices_into(&mut self, n: usize, k: usize, buf: &mut Vec<usize>) {
-        assert!(k <= n, "cannot sample {k} items from {n}");
-        buf.clear();
-        buf.extend(0..n);
-        for i in 0..k {
-            let j = i + self.index(n - i);
-            buf.swap(i, j);
-        }
-    }
 }
 
 /// A bounded-index draw over `0..n` with its divisions done once, up
@@ -509,41 +463,6 @@ mod tests {
         let mean: f64 = (0..n).map(|_| r.weibull(1.0, 2.0)).sum::<f64>() / n as f64;
         // Weibull(k=1, λ=2) has mean λ = 2.
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = RngStream::new(11, StreamId(0));
-        let s = r.sample_indices(20, 10);
-        assert_eq!(s.len(), 10);
-        let set: std::collections::HashSet<_> = s.iter().collect();
-        assert_eq!(set.len(), 10);
-        assert!(s.iter().all(|&i| i < 20));
-    }
-
-    #[test]
-    fn sample_indices_into_matches_allocating_form() {
-        let mut buf = Vec::new();
-        for (n, k) in [(20, 10), (7, 7), (5, 0), (1, 1), (64, 3)] {
-            let mut a = RngStream::new(13, StreamId(2));
-            let mut b = RngStream::new(13, StreamId(2));
-            let owned = a.sample_indices(n, k);
-            b.sample_indices_into(n, k, &mut buf);
-            assert_eq!(owned[..], buf[..k], "n={n} k={k}");
-            assert_eq!(buf.len(), n, "buffer keeps the full pool");
-            // Draw schedules stay aligned afterwards.
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = RngStream::new(12, StreamId(0));
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -15,8 +15,6 @@ pub enum DoeError {
         /// Description of the defect.
         what: &'static str,
     },
-    /// Plackett–Burman run count must be a multiple of 4 (supported: 12).
-    BadRunCount,
 }
 
 impl fmt::Display for DoeError {
@@ -25,7 +23,6 @@ impl fmt::Display for DoeError {
             DoeError::NoFactors => write!(f, "design needs at least one factor"),
             DoeError::TooLarge => write!(f, "design too large to enumerate"),
             DoeError::BadGenerator { what } => write!(f, "bad generator: {what}"),
-            DoeError::BadRunCount => write!(f, "unsupported run count"),
         }
     }
 }
@@ -239,31 +236,6 @@ pub fn resolution(words: &[BTreeSet<usize>]) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// The 12-run Plackett–Burman screening design (up to 11 factors).
-///
-/// # Errors
-///
-/// Returns [`DoeError::NoFactors`] for empty input or more than 11
-/// factors.
-pub fn plackett_burman(factors: &[&str]) -> Result<DesignMatrix, DoeError> {
-    let k = factors.len();
-    if k == 0 || k > 11 {
-        return Err(DoeError::NoFactors);
-    }
-    // Standard PB12 first row (Plackett & Burman 1946).
-    const FIRST: [i8; 11] = [1, 1, -1, 1, 1, 1, -1, -1, -1, 1, -1];
-    let mut rows = Vec::with_capacity(12);
-    for r in 0..11 {
-        let row: Vec<i8> = (0..k).map(|c| FIRST[(11 + c - r) % 11]).collect();
-        rows.push(row);
-    }
-    rows.push(vec![-1; k]);
-    Ok(DesignMatrix {
-        factors: factors.iter().map(|s| (*s).to_string()).collect(),
-        rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,31 +306,6 @@ mod tests {
             "generator referencing non-basic factor"
         );
         assert!(fractional_factorial(&["A", "B", "C"], &[vec![]]).is_err());
-    }
-
-    #[test]
-    fn plackett_burman_properties() {
-        let names: Vec<&str> = vec!["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"];
-        let d = plackett_burman(&names).unwrap();
-        assert_eq!(d.runs(), 12);
-        assert!(d.is_balanced());
-        assert!(d.is_orthogonal());
-    }
-
-    #[test]
-    fn plackett_burman_subset_of_factors() {
-        let d = plackett_burman(&["a", "b", "c", "d", "e"]).unwrap();
-        assert_eq!(d.runs(), 12);
-        assert_eq!(d.factor_count(), 5);
-        assert!(d.is_balanced());
-        assert!(d.is_orthogonal());
-    }
-
-    #[test]
-    fn plackett_burman_errors() {
-        assert!(plackett_burman(&[]).is_err());
-        let many: Vec<&str> = (0..12).map(|_| "x").collect();
-        assert!(plackett_burman(&many).is_err());
     }
 
     #[test]

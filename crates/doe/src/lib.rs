@@ -3,12 +3,10 @@
 //! Design of Experiments — the paper's instrument for *"narrowing the
 //! number of configurations to assess"*.
 //!
-//! * [`design`] — two-level designs: full factorial 2^k, regular
-//!   fractional factorial 2^(k−p) with generator/alias analysis, and
-//!   Plackett–Burman screening;
-//! * [`lhs`] — Latin hypercube sampling for continuous parameter sweeps
-//!   (used by the R5 sensitivity analysis);
-//! * [`ccd`] — central composite designs for response-surface follow-ups.
+//! [`design`] builds two-level designs: full factorial 2^k and regular
+//! fractional factorial 2^(k−p) with generator/alias analysis. The
+//! paper's study is the 2^(6−2) fractional factorial over the six
+//! component classes.
 
 #![warn(missing_docs)]
 // The unwrap/expect ban (clippy.toml `disallowed-methods`) is the
@@ -16,10 +14,6 @@
 // crate predates it and is exercised through those hardened seams.
 #![allow(clippy::disallowed_methods)]
 
-pub mod ccd;
 pub mod design;
-pub mod lhs;
 
-pub use ccd::central_composite;
-pub use design::{fractional_factorial, full_factorial, plackett_burman, DesignMatrix, DoeError};
-pub use lhs::latin_hypercube;
+pub use design::{fractional_factorial, full_factorial, DesignMatrix, DoeError};

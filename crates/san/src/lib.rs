@@ -82,5 +82,5 @@ pub use error::SanError;
 pub use model::{ActivityId, Marking, PlaceId, SanModel};
 pub use reward::{FirstPassage, ImpulseReward, Observer, RateReward};
 pub use sim::{Engine, SimState, Simulator};
-pub use solver::{solve, Method, PartialTransient, RewardSpec, TransientResult, TransientSolver};
+pub use solver::{solve, Method, RewardSpec, TransientResult, TransientSolver};
 pub use statespace::{explore, ExploreOptions, StateSpace};

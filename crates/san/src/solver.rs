@@ -7,13 +7,9 @@ use crate::error::SanError;
 use crate::model::{ActivityId, Marking, SanModel};
 use crate::reward::{FirstPassage, ImpulseReward, Observer, RateReward};
 use crate::sim::{Engine, SimState, Simulator};
-use diversify_des::exec::{BudgetOutcome, FailureCause, ReplicationFailure, RunPolicy};
-use diversify_des::faults::panic_message;
 use diversify_des::{derive_seed, SimTime, StreamId};
 use diversify_stats::StreamingSummary;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A reward variable to estimate across replications.
 #[derive(Clone)]
@@ -306,148 +302,6 @@ impl TransientSolver {
     }
 }
 
-/// What a budgeted ([`TransientSolver::solve_budgeted`]) transient run
-/// produced: the estimates over every completed replication plus the
-/// fault and budget record. Survivor replications fold in plan order,
-/// so a fault-free unbudgeted run is bit-identical to
-/// [`TransientSolver::solve`].
-#[derive(Debug, Clone)]
-pub struct PartialTransient {
-    /// Estimates over the completed replications —
-    /// `None` when every replication failed or the budget expired
-    /// before the first one. `result.replications` counts *completed*
-    /// replications, so [`RewardEstimate::probability`] stays honest on
-    /// degraded runs.
-    pub result: Option<TransientResult>,
-    /// Replications started (completed + failed; excludes
-    /// budget-truncated ones never begun).
-    pub attempted: u32,
-    /// Replications that completed and folded into the estimates.
-    pub completed: u32,
-    /// Replications that failed every attempt, with seeds and causes.
-    pub failed: Vec<ReplicationFailure>,
-    /// How the run ended.
-    pub budget_outcome: BudgetOutcome,
-}
-
-impl PartialTransient {
-    /// Whether replications were lost to failures or truncation.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        !self.failed.is_empty() || self.budget_outcome.is_truncation()
-    }
-}
-
-impl TransientSolver {
-    /// The fault-tolerant form of [`TransientSolver::solve`]: each
-    /// replication runs under `catch_unwind`, panics and non-finite
-    /// reward values are isolated (and retried per the policy's
-    /// [`RetryPolicy`](diversify_des::exec::RetryPolicy), each attempt
-    /// re-deriving its seed so retries are deterministic), and the
-    /// policy's [`Budget`](diversify_des::exec::Budget) — replication
-    /// cap, wall-clock deadline, cancel token — is checked before every
-    /// replication, truncating the run to a deterministic prefix.
-    ///
-    /// Every surviving replication uses exactly the seed the strict
-    /// path would (`derive_seed(master, 0x7A_0000 + rep)`), and a
-    /// simulation state poisoned by a panic is dropped and rebuilt, so
-    /// survivors are bit-identical to a fault-free run and a truncated
-    /// run is bit-identical to a solver constructed with the truncated
-    /// replication count.
-    #[must_use]
-    pub fn solve_budgeted(
-        &self,
-        model: &SanModel,
-        rewards: &[RewardSpec],
-        policy: &RunPolicy,
-    ) -> PartialTransient {
-        let started = Instant::now();
-        let mut acc: Vec<(StreamingSummary, u32)> = rewards
-            .iter()
-            .map(|_| (StreamingSummary::new(), 0))
-            .collect();
-        let mut tracker = RewardTracker::new(rewards);
-        let mut values: Vec<Option<f64>> = vec![None; rewards.len()];
-        // The reusable simulation state rides in an Option: a panicking
-        // replication consumes it mid-unwind, and the next attempt
-        // rebuilds from scratch instead of recycling poisoned state.
-        let mut state: Option<SimState> = Some(SimState::new(model));
-        let mut completed = 0u32;
-        let mut attempted = 0u32;
-        let mut failed: Vec<ReplicationFailure> = Vec::new();
-        let mut budget_outcome = BudgetOutcome::Completed;
-        for rep in 0..self.replications {
-            if let Some(stop) = policy.budget.stop_reason(started, rep + 1) {
-                budget_outcome = stop;
-                break;
-            }
-            attempted += 1;
-            let base_seed = derive_seed(self.master_seed, StreamId(0x7A_0000 + u64::from(rep)));
-            let mut last_cause: Option<FailureCause> = None;
-            for attempt in 0..policy.retry.max_attempts() {
-                let seed = policy.retry.seed_for_attempt(base_seed, attempt);
-                let st = state.take().unwrap_or_else(|| SimState::new(model));
-                tracker.reset();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut sim = Simulator::with_state(model, seed, Engine::default(), st);
-                    sim.run_until_observed(self.horizon, &mut tracker);
-                    sim.into_state()
-                }));
-                match outcome {
-                    Ok(fresh) => {
-                        state = Some(fresh);
-                        tracker.collect_into(&mut values);
-                        if values.iter().flatten().all(|v| v.is_finite()) {
-                            for (slot, value) in acc.iter_mut().zip(&values) {
-                                if let Some(v) = value {
-                                    slot.0.push(*v);
-                                    slot.1 += 1;
-                                }
-                            }
-                            completed += 1;
-                            last_cause = None;
-                            break;
-                        }
-                        last_cause = Some(FailureCause::InvalidOutput);
-                    }
-                    Err(payload) => {
-                        last_cause = Some(FailureCause::Panicked(panic_message(payload.as_ref())));
-                    }
-                }
-            }
-            if let Some(cause) = last_cause {
-                failed.push(ReplicationFailure {
-                    index: rep,
-                    seed: base_seed,
-                    attempts: policy.retry.max_attempts(),
-                    cause,
-                });
-            }
-        }
-        let result = (completed > 0).then(|| TransientResult {
-            estimates: rewards
-                .iter()
-                .zip(acc)
-                .map(|(spec, (stats, occurrences))| RewardEstimate {
-                    name: spec.name().to_string(),
-                    stats,
-                    occurrences,
-                    exact_probability: None,
-                })
-                .collect(),
-            replications: completed,
-            horizon: self.horizon,
-        });
-        PartialTransient {
-            result,
-            attempted,
-            completed,
-            failed,
-            budget_outcome,
-        }
-    }
-}
-
 /// The solver's reusable observer set: one observer per reward spec,
 /// built once per `solve` call and reset between replications, fanning
 /// trajectory callbacks out to all of them without any per-replication
@@ -661,160 +515,5 @@ mod tests {
     #[should_panic(expected = "at least one replication")]
     fn zero_replications_panics() {
         let _ = TransientSolver::new(SimTime::from_secs(1.0), 0, 0);
-    }
-
-    #[test]
-    fn budgeted_solve_matches_strict_solve_when_unconstrained() {
-        let model = failure_model(1.0);
-        let down = model.place_by_name("down").unwrap();
-        let rewards = [RewardSpec::first_passage("t", move |m| m.tokens(down) == 1)];
-        let solver = TransientSolver::new(SimTime::from_secs(10.0), 200, 7);
-        let strict = solver.solve(&model, &rewards);
-        let part = solver.solve_budgeted(&model, &rewards, &RunPolicy::new());
-        assert!(!part.is_degraded());
-        assert_eq!(part.budget_outcome, BudgetOutcome::Completed);
-        assert_eq!(part.completed, 200);
-        let r = part.result.expect("all replications completed");
-        let (a, b) = (strict.estimate("t").unwrap(), r.estimate("t").unwrap());
-        assert_eq!(a.stats.mean(), b.stats.mean());
-        assert_eq!(a.occurrences, b.occurrences);
-    }
-
-    #[test]
-    fn budget_truncates_to_a_smaller_solver_bit_identically() {
-        use diversify_des::exec::Budget;
-        let model = failure_model(1.0);
-        let down = model.place_by_name("down").unwrap();
-        let rewards = [RewardSpec::first_passage("t", move |m| m.tokens(down) == 1)];
-        let capped = TransientSolver::new(SimTime::from_secs(10.0), 200, 7).solve_budgeted(
-            &model,
-            &rewards,
-            &RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(50)),
-        );
-        assert_eq!(capped.budget_outcome, BudgetOutcome::ReplicationBudget);
-        assert_eq!(capped.completed, 50);
-        assert!(capped.is_degraded());
-        // The truncated prefix IS the 50-replication solver's run.
-        let small = TransientSolver::new(SimTime::from_secs(10.0), 50, 7).solve(&model, &rewards);
-        let r = capped.result.expect("prefix completed");
-        assert_eq!(r.replications, 50);
-        assert_eq!(
-            r.estimate("t").unwrap().stats.mean(),
-            small.estimate("t").unwrap().stats.mean()
-        );
-        assert_eq!(
-            r.estimate("t").unwrap().occurrences,
-            small.estimate("t").unwrap().occurrences
-        );
-    }
-
-    #[test]
-    fn cancellation_stops_the_solver_between_replications() {
-        use diversify_des::exec::{Budget, CancelToken};
-        let model = failure_model(1.0);
-        let token = CancelToken::new();
-        token.cancel();
-        let part = TransientSolver::new(SimTime::from_secs(10.0), 100, 7).solve_budgeted(
-            &model,
-            &[RewardSpec::rate("x", |_| 1.0)],
-            &RunPolicy::new().with_budget(Budget::unlimited().with_cancel(&token)),
-        );
-        assert_eq!(part.budget_outcome, BudgetOutcome::Cancelled);
-        assert_eq!(part.completed, 0);
-        assert!(part.result.is_none());
-    }
-
-    #[test]
-    fn panicking_reward_is_isolated_and_survivors_match() {
-        let model = failure_model(1.0);
-        let down = model.place_by_name("down").unwrap();
-        // A reward whose marking function panics on one specific
-        // replication cannot be seeded directly, so panic on first
-        // evaluation via an external counter armed for replication 0.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let armed = Arc::new(AtomicBool::new(true));
-        let trap = Arc::clone(&armed);
-        diversify_des::faults::silence_injected_panics();
-        let rewards = [
-            RewardSpec::rate("boom", move |_| {
-                if trap.swap(false, Ordering::Relaxed) {
-                    std::panic::panic_any(diversify_des::faults::InjectedPanic { index: 0 });
-                }
-                1.0
-            }),
-            RewardSpec::first_passage("t", move |m| m.tokens(down) == 1),
-        ];
-        let part = TransientSolver::new(SimTime::from_secs(10.0), 20, 7).solve_budgeted(
-            &model,
-            &rewards,
-            &RunPolicy::new(),
-        );
-        // Replication 0 panicked on its first marking callback; all
-        // later replications completed untouched.
-        assert_eq!(part.failed.len(), 1);
-        assert_eq!(part.failed[0].index, 0);
-        assert!(matches!(part.failed[0].cause, FailureCause::Panicked(_)));
-        assert_eq!(part.completed, 19);
-        assert!(part.is_degraded());
-        assert!(part.result.is_some());
-    }
-
-    #[test]
-    fn retry_recovers_a_transient_fault_and_matches_the_strict_run() {
-        use diversify_des::exec::RetryPolicy;
-        let model = failure_model(1.0);
-        let down = model.place_by_name("down").unwrap();
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let remaining = Arc::new(AtomicU32::new(1));
-        let trap = Arc::clone(&remaining);
-        diversify_des::faults::silence_injected_panics();
-        let faulty = [RewardSpec::rate("avail", move |m| {
-            if trap
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok()
-            {
-                std::panic::panic_any(diversify_des::faults::InjectedPanic { index: 0 });
-            }
-            f64::from(m.tokens(down))
-        })];
-        let part = TransientSolver::new(SimTime::from_secs(5.0), 30, 11).solve_budgeted(
-            &model,
-            &faulty,
-            &RunPolicy::new().with_retry(RetryPolicy::retries(2)),
-        );
-        // The single transient fault was retried from the same seed, so
-        // the run is whole and bit-identical to an unfaulted solve.
-        assert!(part.failed.is_empty());
-        assert_eq!(part.completed, 30);
-        let clean = [RewardSpec::rate("avail", move |m| {
-            f64::from(m.tokens(down))
-        })];
-        let strict = TransientSolver::new(SimTime::from_secs(5.0), 30, 11).solve(&model, &clean);
-        assert_eq!(
-            part.result.unwrap().estimate("avail").unwrap().stats.mean(),
-            strict.estimate("avail").unwrap().stats.mean()
-        );
-    }
-
-    #[test]
-    fn non_finite_reward_is_recorded_as_invalid_output() {
-        let model = failure_model(1.0);
-        let rewards = [RewardSpec::rate("bad", |_| f64::NAN)];
-        let part = TransientSolver::new(SimTime::from_secs(1.0), 5, 3).solve_budgeted(
-            &model,
-            &rewards,
-            &RunPolicy::new(),
-        );
-        assert_eq!(part.completed, 0);
-        assert_eq!(part.failed.len(), 5);
-        assert!(part
-            .failed
-            .iter()
-            .all(|f| f.cause == FailureCause::InvalidOutput));
-        assert!(part.result.is_none());
-        // The run itself still "completed": every replication was
-        // attempted, none was truncated by the budget.
-        assert_eq!(part.budget_outcome, BudgetOutcome::Completed);
-        assert!(part.is_degraded());
     }
 }

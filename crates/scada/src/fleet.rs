@@ -335,9 +335,9 @@ mod tests {
         let net = fleet.network();
         let entry = fleet.plants()[0].offices[0];
         assert_eq!(net.reachable(entry).len(), net.node_count());
-        assert!(!net.nodes_in_zone(Zone::Corporate).is_empty());
-        assert!(!net.nodes_in_zone(Zone::ControlCenter).is_empty());
-        assert!(!net.nodes_in_zone(Zone::Field).is_empty());
+        for zone in Zone::ALL {
+            assert!(net.node_ids().any(|id| net.zone(id) == zone), "{zone:?}");
+        }
         // Every plant contributes an entry point and PLCs.
         for plant in fleet.plants() {
             assert!(net.role(plant.offices[0]).is_entry_point());

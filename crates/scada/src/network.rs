@@ -8,7 +8,7 @@
 //! of name bytes with a `u32` end offset per node, so adding a node
 //! allocates nothing of its own. The link structure is served from a
 //! **CSR topology** (a flat neighbor array indexed by per-node offsets)
-//! with precomputed role and zone indexes. The CSR view is derived data:
+//! with a precomputed role index. The CSR view is derived data:
 //! it is built lazily on first query after a topology mutation and
 //! cached until the next `add_node`/`connect`, so construction stays an
 //! append-only edge list while every traversal — campaign propagation,
@@ -18,9 +18,9 @@
 //! generator in this workspace does).
 //!
 //! Node ids are 32-bit ([`NodeId`]), so every id array — the CSR
-//! neighbors, the links, the role and zone indexes — takes 4 bytes per
-//! entry. `add_node` panics rather than let an id pass `u32::MAX` or the
-//! name bytes pass 4 GiB.
+//! neighbors, the links, the role index — takes 4 bytes per entry.
+//! `add_node` panics rather than let an id pass `u32::MAX` or the name
+//! bytes pass 4 GiB.
 //!
 //! Profile rewrites (diversity placement) do **not** invalidate the
 //! cache: the topology depends only on nodes and links.
@@ -99,7 +99,7 @@ impl Zone {
     /// All zones, outermost first.
     pub const ALL: [Zone; 3] = [Zone::Corporate, Zone::ControlCenter, Zone::Field];
 
-    /// Position of this zone in [`Zone::ALL`] (the zone-index key).
+    /// Position of this zone in [`Zone::ALL`].
     #[must_use]
     pub fn index(self) -> usize {
         match self {
@@ -172,8 +172,8 @@ pub struct Link {
 }
 
 /// The derived CSR view of a [`ScadaNetwork`]: flat neighbor array plus
-/// per-node offsets, and the precomputed role/zone membership lists
-/// (each in ascending node-id order). Borrow it once via
+/// per-node offsets, and the precomputed role membership lists (each in
+/// ascending node-id order). Borrow it once via
 /// [`ScadaNetwork::topology`] before a hot loop; all methods are O(1)
 /// slice lookups.
 #[derive(Debug, Clone)]
@@ -187,14 +187,12 @@ pub struct Topology {
     neighbors: Vec<NodeId>,
     /// Node ids per [`NodeRole`] (indexed by [`NodeRole::index`]).
     by_role: Vec<Vec<NodeId>>,
-    /// Node ids per [`Zone`] (indexed by [`Zone::index`]).
-    by_zone: Vec<Vec<NodeId>>,
     /// The largest node degree (0 without links).
     max_degree: usize,
 }
 
 impl Topology {
-    fn build(n: usize, roles: &[NodeRole], zones: &[Zone], links: &[Link]) -> Self {
+    fn build(n: usize, roles: &[NodeRole], links: &[Link]) -> Self {
         assert!(
             n < u32::MAX as usize && links.len() < (u32::MAX / 2) as usize,
             "node/link counts exceed the CSR u32 offset range"
@@ -223,18 +221,15 @@ impl Topology {
             neighbors[cursor[b] as usize] = l.a;
             cursor[b] += 1;
         }
-        // Role/zone membership: one ascending pass over the SoA arrays.
+        // Role membership: one ascending pass over the roles array.
         let mut by_role = vec![Vec::new(); NodeRole::ALL.len()];
-        let mut by_zone = vec![Vec::new(); Zone::ALL.len()];
-        for i in 0..n {
-            by_role[roles[i].index()].push(NodeId(i as u32));
-            by_zone[zones[i].index()].push(NodeId(i as u32));
+        for (i, role) in roles.iter().enumerate() {
+            by_role[role.index()].push(NodeId(i as u32));
         }
         Topology {
             offsets,
             neighbors,
             by_role,
-            by_zone,
             max_degree: max_degree as usize,
         }
     }
@@ -272,12 +267,6 @@ impl Topology {
     #[must_use]
     pub fn with_role(&self, role: NodeRole) -> &[NodeId] {
         &self.by_role[role.index()]
-    }
-
-    /// Ids of nodes in a given zone, ascending.
-    #[must_use]
-    pub fn in_zone(&self, zone: Zone) -> &[NodeId] {
-        &self.by_zone[zone.index()]
     }
 }
 
@@ -543,7 +532,7 @@ impl ScadaNetwork {
         self.plant.links.len()
     }
 
-    /// The derived CSR topology (flat neighbors + role/zone indexes),
+    /// The derived CSR topology (flat neighbors + role index),
     /// building it if a mutation invalidated the cache. The cache lives
     /// in the shared plant, so it is built once for a network and all
     /// of its clones. Hot loops should call this once and keep the
@@ -552,7 +541,7 @@ impl ScadaNetwork {
     pub fn topology(&self) -> &Topology {
         let p = &*self.plant;
         p.topo
-            .get_or_init(|| Topology::build(p.node_count(), &p.roles, &p.zones, &p.links))
+            .get_or_init(|| Topology::build(p.node_count(), &p.roles, &p.links))
     }
 
     /// Display name of a node.
@@ -631,13 +620,6 @@ impl ScadaNetwork {
     #[must_use]
     pub fn nodes_with_role(&self, role: NodeRole) -> &[NodeId] {
         self.topology().with_role(role)
-    }
-
-    /// Ids of nodes in a given zone, in ascending id order — served from
-    /// the precomputed zone index, no allocation.
-    #[must_use]
-    pub fn nodes_in_zone(&self, zone: Zone) -> &[NodeId] {
-        self.topology().in_zone(zone)
     }
 
     /// Neighbors of a node.
@@ -848,7 +830,11 @@ mod tests {
         assert_eq!(net.link_count(), 3);
         assert_eq!(net.name(corp), "corp");
         assert_eq!(net.nodes_with_role(NodeRole::Plc).len(), 2);
-        assert_eq!(net.nodes_in_zone(Zone::ControlCenter), &[hmi]);
+        let control: Vec<NodeId> = net
+            .node_ids()
+            .filter(|&id| net.zone(id) == Zone::ControlCenter)
+            .collect();
+        assert_eq!(control, [hmi]);
         assert_eq!(net.neighbors(hmi).len(), 3);
         assert!(net.crosses_zone(corp, hmi));
         assert!(!net.crosses_zone(plc1, plc1));
@@ -872,8 +858,6 @@ mod tests {
         let (net, _, _, plc1, plc2) = small_net();
         assert_eq!(net.nodes_with_role(NodeRole::Plc), &[plc1, plc2]);
         assert!(net.nodes_with_role(NodeRole::Historian).is_empty());
-        let field = net.nodes_in_zone(Zone::Field);
-        assert!(field.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -1,14 +1,10 @@
 //! ANalysis Of VAriance — the paper's *Diversity Assessment* instrument.
 //!
-//! Two entry points:
-//!
-//! * [`one_way`] — classic fixed-effects one-way ANOVA over k groups
-//!   (e.g. time-to-attack grouped by OS variant);
-//! * [`factorial_two_level`] — effect estimation and variance allocation
-//!   for replicated two-level (fractional) factorial designs, the form
-//!   produced by the `diversify-doe` crate. This is what Sec. II of the
-//!   paper describes: *"allocate the variability of the security indicators
-//!   ... to the component(s) responsible for such variability."*
+//! [`factorial_two_level`] estimates effects and allocates variance for
+//! replicated two-level (fractional) factorial designs, the form
+//! produced by the `diversify-doe` crate. This is what Sec. II of the
+//! paper describes: *"allocate the variability of the security indicators
+//! ... to the component(s) responsible for such variability."*
 
 use crate::dist::FisherF;
 use crate::error::StatsError;
@@ -31,135 +27,6 @@ pub struct AnovaRow {
     pub p_value: Option<f64>,
     /// Fraction of total variability explained (`sum_sq / ss_total`).
     pub variance_explained: f64,
-}
-
-/// Result of a one-way ANOVA.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnovaTable {
-    /// Between-groups sum of squares.
-    pub ss_between: f64,
-    /// Within-groups (error) sum of squares.
-    pub ss_within: f64,
-    /// Total sum of squares.
-    pub ss_total: f64,
-    /// Between-groups degrees of freedom (k − 1).
-    pub df_between: f64,
-    /// Within-groups degrees of freedom (N − k).
-    pub df_within: f64,
-    /// The F statistic.
-    pub f_stat: f64,
-    /// Upper-tail p-value.
-    pub p_value: f64,
-    /// Effect size η² = SS_between / SS_total.
-    pub eta_squared: f64,
-}
-
-impl fmt::Display for AnovaTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<12} {:>12} {:>6} {:>12} {:>10} {:>10}",
-            "source", "SS", "df", "MS", "F", "p"
-        )?;
-        writeln!(
-            f,
-            "{:<12} {:>12.4} {:>6} {:>12.4} {:>10.4} {:>10.4}",
-            "between",
-            self.ss_between,
-            self.df_between,
-            self.ss_between / self.df_between,
-            self.f_stat,
-            self.p_value
-        )?;
-        writeln!(
-            f,
-            "{:<12} {:>12.4} {:>6} {:>12.4}",
-            "within",
-            self.ss_within,
-            self.df_within,
-            self.ss_within / self.df_within
-        )?;
-        writeln!(
-            f,
-            "{:<12} {:>12.4} {:>6}",
-            "total",
-            self.ss_total,
-            self.df_between + self.df_within
-        )
-    }
-}
-
-/// Fixed-effects one-way ANOVA over `groups`.
-///
-/// # Errors
-///
-/// Returns an error when fewer than two groups are given, any group is
-/// empty, or there are no error degrees of freedom (every group has a
-/// single observation).
-///
-/// # Examples
-///
-/// See the crate-level documentation.
-pub fn one_way(groups: &[&[f64]]) -> Result<AnovaTable, StatsError> {
-    if groups.len() < 2 {
-        return Err(StatsError::InvalidGroups {
-            what: "one-way ANOVA needs at least two groups",
-        });
-    }
-    if groups.iter().any(|g| g.is_empty()) {
-        return Err(StatsError::InvalidGroups {
-            what: "every group must contain at least one observation",
-        });
-    }
-    let n_total: usize = groups.iter().map(|g| g.len()).sum();
-    let k = groups.len();
-    if n_total <= k {
-        return Err(StatsError::InsufficientData {
-            needed: "at least one group with two or more observations",
-        });
-    }
-    let grand_mean: f64 = groups.iter().flat_map(|g| g.iter()).sum::<f64>() / n_total as f64;
-
-    let mut ss_between = 0.0;
-    let mut ss_within = 0.0;
-    for g in groups {
-        let gm = g.iter().sum::<f64>() / g.len() as f64;
-        ss_between += g.len() as f64 * (gm - grand_mean).powi(2);
-        ss_within += g.iter().map(|x| (x - gm).powi(2)).sum::<f64>();
-    }
-    let ss_total = ss_between + ss_within;
-    let df_between = (k - 1) as f64;
-    let df_within = (n_total - k) as f64;
-    let ms_between = ss_between / df_between;
-    let ms_within = ss_within / df_within;
-    // Degenerate case: zero within-group variance. The factor explains
-    // everything; report an infinite F with p = 0 (or F = 0 when the factor
-    // is also null).
-    let (f_stat, p_value) = if ms_within == 0.0 {
-        if ms_between == 0.0 {
-            (0.0, 1.0)
-        } else {
-            (f64::INFINITY, 0.0)
-        }
-    } else {
-        let f_stat = ms_between / ms_within;
-        let fdist = FisherF::new(df_between, df_within).expect("dfs are positive by construction");
-        (f_stat, fdist.sf(f_stat))
-    };
-    Ok(AnovaTable {
-        ss_between,
-        ss_within,
-        ss_total,
-        df_between,
-        df_within,
-        f_stat,
-        p_value,
-        eta_squared: if ss_total > 0.0 {
-            ss_between / ss_total
-        } else {
-            0.0
-        },
-    })
 }
 
 /// ANOVA decomposition for a replicated two-level factorial (or regular
@@ -436,66 +303,6 @@ pub fn factorial_two_level(
 mod tests {
     use super::*;
 
-    #[test]
-    fn one_way_textbook_example() {
-        // Montgomery-style: three groups with clearly different means.
-        let g1 = [4.0, 5.0, 6.0, 5.0];
-        let g2 = [8.0, 9.0, 10.0, 9.0];
-        let g3 = [6.0, 7.0, 8.0, 7.0];
-        let t = one_way(&[&g1, &g2, &g3]).unwrap();
-        assert!((t.ss_total - (t.ss_between + t.ss_within)).abs() < 1e-10);
-        assert_eq!(t.df_between, 2.0);
-        assert_eq!(t.df_within, 9.0);
-        // SS_between = 4 * ((5-7)^2 + (9-7)^2 + (7-7)^2) = 32.
-        assert!((t.ss_between - 32.0).abs() < 1e-10);
-        // SS_within = 3 groups * 2.0 = 6.
-        assert!((t.ss_within - 6.0).abs() < 1e-10);
-        let expected_f = (32.0 / 2.0) / (6.0 / 9.0);
-        assert!((t.f_stat - expected_f).abs() < 1e-10);
-        assert!(t.p_value < 0.001);
-        assert!((t.eta_squared - 32.0 / 38.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_way_null_case_high_p() {
-        // Identical group means: F ≈ 0, p ≈ 1.
-        let g1 = [1.0, 2.0, 3.0];
-        let g2 = [2.0, 1.0, 3.0];
-        let t = one_way(&[&g1, &g2]).unwrap();
-        assert!(t.f_stat < 1e-10);
-        assert!(t.p_value > 0.99);
-    }
-
-    #[test]
-    fn one_way_degenerate_zero_within() {
-        let g1 = [1.0, 1.0];
-        let g2 = [2.0, 2.0];
-        let t = one_way(&[&g1, &g2]).unwrap();
-        assert!(t.f_stat.is_infinite());
-        assert_eq!(t.p_value, 0.0);
-    }
-
-    #[test]
-    fn one_way_all_constant() {
-        let g1 = [5.0, 5.0];
-        let g2 = [5.0, 5.0];
-        let t = one_way(&[&g1, &g2]).unwrap();
-        assert_eq!(t.f_stat, 0.0);
-        assert_eq!(t.p_value, 1.0);
-        assert_eq!(t.eta_squared, 0.0);
-    }
-
-    #[test]
-    fn one_way_input_validation() {
-        let g: [f64; 3] = [1.0, 2.0, 3.0];
-        assert!(one_way(&[&g]).is_err());
-        let empty: [f64; 0] = [];
-        assert!(one_way(&[&g, &empty]).is_err());
-        let s1 = [1.0];
-        let s2 = [2.0];
-        assert!(one_way(&[&s1, &s2]).is_err());
-    }
-
     fn full_factorial_2x2() -> Vec<Vec<i8>> {
         vec![vec![-1, -1], vec![1, -1], vec![-1, 1], vec![1, 1]]
     }
@@ -605,13 +412,5 @@ mod tests {
         assert!(s.contains("source"));
         assert!(s.contains("error"));
         assert!(s.contains("total"));
-    }
-
-    #[test]
-    fn one_way_display_renders() {
-        let g1 = [1.0, 2.0];
-        let g2 = [3.0, 4.0];
-        let t = one_way(&[&g1, &g2]).unwrap();
-        assert!(t.to_string().contains("between"));
     }
 }

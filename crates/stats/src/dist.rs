@@ -1,11 +1,11 @@
 //! Probability distributions with CDFs and quantile functions.
 //!
-//! The ANOVA F-tests, t-based confidence intervals and chi-square
-//! goodness-of-fit checks in the *Diversify!* pipeline all reduce to
-//! evaluations of the four distributions defined here.
+//! The ANOVA F-tests and t-based confidence intervals in the
+//! *Diversify!* pipeline reduce to evaluations of the three distributions
+//! defined here.
 
 use crate::error::StatsError;
-use crate::special::{erf, inc_beta, inc_gamma, ln_gamma};
+use crate::special::{erf, inc_beta, ln_gamma};
 
 /// A univariate continuous distribution.
 ///
@@ -308,57 +308,6 @@ impl Distribution for FisherF {
     }
 }
 
-/// The chi-square distribution with `df` degrees of freedom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquared {
-    df: f64,
-}
-
-impl ChiSquared {
-    /// Creates a chi-square distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] if `df <= 0`.
-    pub fn new(df: f64) -> Result<Self, StatsError> {
-        if !df.is_finite() || df <= 0.0 {
-            return Err(StatsError::InvalidParameter {
-                what: "chi-squared requires df > 0",
-            });
-        }
-        Ok(ChiSquared { df })
-    }
-
-    /// Degrees of freedom.
-    #[must_use]
-    pub fn df(&self) -> f64 {
-        self.df
-    }
-}
-
-impl Distribution for ChiSquared {
-    fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let k = self.df;
-        let ln = (k / 2.0 - 1.0) * x.ln() - x / 2.0 - (k / 2.0) * 2f64.ln() - ln_gamma(k / 2.0);
-        ln.exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        inc_gamma(self.df / 2.0, x / 2.0)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "quantile requires p in (0,1)");
-        invert_cdf(|x| self.cdf(x), p, 0.0, self.df.max(1.0) * 2.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,38 +422,10 @@ mod tests {
     }
 
     #[test]
-    fn chi2_cdf_reference() {
-        // χ²(2) is Exp(1/2): cdf(x) = 1 − e^{−x/2}.
-        let c = ChiSquared::new(2.0).unwrap();
-        for &x in &[0.5, 1.0, 4.0] {
-            assert!(close(c.cdf(x), 1.0 - (-x / 2.0).exp(), 1e-12));
-        }
-    }
-
-    #[test]
-    fn chi2_quantile_reference_values() {
-        // χ²_{0.95}(10) = 18.307; χ²_{0.95}(1) = 3.8415.
-        let c10 = ChiSquared::new(10.0).unwrap();
-        assert!(close(c10.quantile(0.95), 18.307, 1e-3));
-        let c1 = ChiSquared::new(1.0).unwrap();
-        assert!(close(c1.quantile(0.95), 3.841_46, 1e-4));
-    }
-
-    #[test]
-    fn chi2_is_gamma_special_case() {
-        // χ²(k) mean = k: check via quantile(0.5) ≈ k(1-2/(9k))³ (Wilson-Hilferty).
-        let c = ChiSquared::new(8.0).unwrap();
-        let median = c.quantile(0.5);
-        let wh = 8.0 * (1.0f64 - 2.0 / (9.0 * 8.0)).powi(3);
-        assert!(close(median, wh, 0.05));
-    }
-
-    #[test]
     fn parameter_validation_errors() {
         assert!(StudentT::new(0.0).is_err());
         assert!(FisherF::new(0.0, 5.0).is_err());
         assert!(FisherF::new(5.0, -1.0).is_err());
-        assert!(ChiSquared::new(f64::INFINITY).is_err());
     }
 
     #[test]
@@ -519,7 +440,6 @@ mod tests {
             Box::new(Normal::standard()),
             Box::new(StudentT::new(5.0).unwrap()),
             Box::new(FisherF::new(2.0, 8.0).unwrap()),
-            Box::new(ChiSquared::new(3.0).unwrap()),
         ];
         for d in &dists {
             let p = d.cdf(d.quantile(0.7));

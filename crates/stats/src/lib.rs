@@ -8,34 +8,39 @@
 //! for it. This crate implements everything that step needs, from scratch:
 //!
 //! * [`special`] — log-gamma, regularized incomplete beta/gamma, erf;
-//! * [`dist`] — normal, Student-t, F and chi-square distributions with
-//!   CDFs and quantile functions;
+//! * [`dist`] — normal, Student-t and F distributions with CDFs and
+//!   quantile functions;
 //! * [`describe`] — descriptive statistics and quantile estimation;
 //! * [`ci`] — confidence intervals (t-based, Wilson proportion, and the
 //!   product-of-proportions interval behind multilevel splitting);
-//! * [`anova`] — one-way ANOVA and n-way ANOVA for two-level factorial
-//!   designs, with variance-explained allocation per factor;
-//! * [`effect`] — effect sizes (Cohen's d, eta squared);
-//! * [`rank`] — the Mann–Whitney U test (a non-parametric cross-check);
-//! * [`bootstrap`] — percentile bootstrap confidence intervals;
+//! * [`anova`] — n-way ANOVA for two-level factorial designs, with
+//!   variance-explained allocation per factor;
 //! * [`stream`] — mergeable streaming accumulators ([`StreamingSummary`],
 //!   [`BernoulliCounter`]) with moment-based confidence intervals, the
 //!   substrate of the adaptive-precision replication path.
 //!
-//! ## Example: one-way ANOVA
+//! ## Example: factorial ANOVA
 //!
 //! ```
-//! use diversify_stats::anova::one_way;
+//! use diversify_stats::anova::EffectSpec;
+//! use diversify_stats::factorial_two_level;
 //!
-//! // Three OS variants, time-to-attack samples (hours).
-//! let groups: Vec<Vec<f64>> = vec![
-//!     vec![10.0, 11.0, 9.5, 10.5],
-//!     vec![20.0, 21.0, 19.0, 20.5],
-//!     vec![15.0, 16.0, 14.0, 15.5],
-//! ];
-//! let refs: Vec<&[f64]> = groups.iter().map(|g| g.as_slice()).collect();
-//! let table = one_way(&refs).unwrap();
-//! assert!(table.p_value < 0.001); // variant clearly matters
+//! // A replicated 2² design: factor A shifts the response by ±3, B does
+//! // nothing, and each run has two replicates around its mean.
+//! let design = vec![vec![-1, -1], vec![1, -1], vec![-1, 1], vec![1, 1]];
+//! let responses: Vec<Vec<f64>> = design
+//!     .iter()
+//!     .map(|row| {
+//!         let y = 10.0 + 3.0 * f64::from(row[0]);
+//!         vec![y - 0.1, y + 0.1]
+//!     })
+//!     .collect();
+//! let effects = [EffectSpec::main("A", 0), EffectSpec::main("B", 1)];
+//! let table = factorial_two_level(&design, &responses, &effects).unwrap();
+//! assert_eq!(table.ranking()[0].source, "A");
+//! let a = table.effect("A").unwrap();
+//! assert!(a.variance_explained > 0.99);
+//! assert!(a.p_value.unwrap() < 0.001);
 //! ```
 
 #![warn(missing_docs)]
@@ -45,22 +50,16 @@
 #![allow(clippy::disallowed_methods)]
 
 pub mod anova;
-pub mod bootstrap;
 pub mod ci;
 pub mod describe;
 pub mod dist;
-pub mod effect;
 pub mod error;
-pub mod rank;
 pub mod special;
 pub mod stream;
 
-pub use anova::{factorial_two_level, one_way, AnovaRow, AnovaTable, FactorialAnova};
-pub use bootstrap::{bootstrap_ci, bootstrap_ci_sorted};
+pub use anova::{factorial_two_level, AnovaRow, FactorialAnova};
 pub use ci::{mean_ci, product_proportion_ci, proportion_ci, ConfidenceInterval};
 pub use describe::Summary;
-pub use dist::{ChiSquared, Distribution, FisherF, Normal, StudentT};
-pub use effect::{cohens_d, eta_squared};
+pub use dist::{Distribution, FisherF, Normal, StudentT};
 pub use error::StatsError;
-pub use rank::mann_whitney_u;
 pub use stream::{BernoulliCounter, RawMoments, StreamingSummary};
