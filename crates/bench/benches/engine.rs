@@ -27,7 +27,7 @@ use diversify_bench::{
     campaign_workspace_summary, san_throughput_events, scope_campaign_san,
 };
 use diversify_core::exec::{
-    accept_all, campaign_plan, Executor, IndicatorsCollector, ReplicationPlan, RunPolicy, RunSpec,
+    accept_all, campaign_plan, Executor, MeasurementsCollector, ReplicationPlan, RunPolicy, RunSpec,
 };
 use diversify_core::runner::{measure_configuration_run, PrecisionTarget};
 use diversify_des::{IndexDraw, RngStream, StreamId};
@@ -123,7 +123,7 @@ fn bench_engine(c: &mut Criterion) {
                         &RunSpec::new(&campaign_plan_full).with_policy(&unlimited),
                         || campaign_sim.workspace(),
                         |ws, rep| campaign_sim.run_into(ws, rep.seed),
-                        &IndicatorsCollector,
+                        &MeasurementsCollector,
                         accept_all,
                     )
                     .output,

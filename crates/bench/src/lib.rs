@@ -23,7 +23,7 @@ use diversify_attack::to_san::{
 };
 use diversify_attack::tree::stuxnet_tree;
 use diversify_core::exec::{
-    accept_all, campaign_plan, BudgetOutcome, Executor, IndicatorsCollector, ReplicationPlan,
+    accept_all, campaign_plan, BudgetOutcome, Executor, MeasurementsCollector, ReplicationPlan,
     RunSpec,
 };
 use diversify_core::pipeline::{Pipeline, PipelineConfig};
@@ -782,7 +782,8 @@ pub fn san_throughput_events(
 /// [`CampaignWorkspace`](diversify_attack::campaign::CampaignWorkspace)
 /// across its replications and folds scalar
 /// [`CampaignStats`](diversify_attack::campaign::CampaignStats) into the
-/// streaming [`IndicatorsCollector`] — the allocation-free hot path the
+/// streaming [`MeasurementsCollector`] and returns the summary of that
+/// fold — the allocation-free hot path the
 /// `campaign_replication_throughput` bench times.
 #[must_use]
 pub fn campaign_workspace_summary(
@@ -790,12 +791,14 @@ pub fn campaign_workspace_summary(
     plan: &ReplicationPlan,
     executor: Executor,
 ) -> diversify_core::indicators::IndicatorSummary {
-    executor.run_ws(
-        plan,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &IndicatorsCollector,
-    )
+    executor
+        .run_ws(
+            plan,
+            || sim.workspace(),
+            |ws, rep| sim.run_into(ws, rep.seed),
+            &MeasurementsCollector,
+        )
+        .summary
 }
 
 /// The pre-workspace reference path for the same workload
@@ -813,11 +816,13 @@ pub fn campaign_alloc_reference_summary(
     plan: &ReplicationPlan,
     executor: Executor,
 ) -> diversify_core::indicators::IndicatorSummary {
-    executor.collect(
-        plan,
-        |rep| sim.run_reference(rep.seed),
-        &IndicatorsCollector,
-    )
+    executor
+        .collect(
+            plan,
+            |rep| sim.run_reference(rep.seed),
+            &MeasurementsCollector,
+        )
+        .summary
 }
 
 /// What [`hardened_overhead_probe`] measured: per-replication wall time
@@ -873,7 +878,7 @@ pub fn hardened_overhead_probe(scale: Scale, passes: u32) -> HardenedOverhead {
             &RunSpec::new(&plan).with_policy(&policy),
             || sim.workspace(),
             |ws, rep| sim.run_into(ws, rep.seed),
-            &IndicatorsCollector,
+            &MeasurementsCollector,
             accept_all,
         )
     };
@@ -890,7 +895,7 @@ pub fn hardened_overhead_probe(scale: Scale, passes: u32) -> HardenedOverhead {
     let budgeted_out = budgeted_run.output().expect("unbudgeted run completes");
     assert_eq!(
         strict_out.p_success.to_bits(),
-        budgeted_out.p_success.to_bits(),
+        budgeted_out.summary.p_success.to_bits(),
         "strict and budgeted paths must fold identically"
     );
     let (mut strict_best, mut budgeted_best) = (f64::INFINITY, f64::INFINITY);
@@ -899,7 +904,7 @@ pub fn hardened_overhead_probe(scale: Scale, passes: u32) -> HardenedOverhead {
             campaign_workspace_summary(&sim, &plan, Executor::default())
         }));
         budgeted_best = budgeted_best.min(time_one(&|| {
-            budgeted().output.expect("unbudgeted run completes")
+            budgeted().output.expect("unbudgeted run completes").summary
         }));
     }
     HardenedOverhead {

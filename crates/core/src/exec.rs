@@ -3,12 +3,12 @@
 //! Re-exports the generic engine from [`diversify_des::exec`] — a
 //! [`ReplicationPlan`] (seeds + batch structure) run by a serial or
 //! parallel [`Executor`] and folded by a mergeable [`Collector`] — and
-//! adds the campaign-level pieces: [`MeasurementsCollector`], which
-//! streams ordered campaign outcomes into the batched
-//! [`Measurements`] the ANOVA stage consumes, [`IndicatorsCollector`]
-//! for plain (unbatched) indicator summaries, and the stream namespace
-//! campaign measurement has always used for its seed schedule. Both
-//! collectors fold anything the scalar [`CampaignStats`] can be read
+//! adds the campaign-level pieces: [`MeasurementsCollector`], the one
+//! fold of campaign outcomes, which streams them into per-batch
+//! [`BatchSnapshot`]s and closes those into the batched
+//! [`Measurements`] the ANOVA stage consumes, and the stream namespace
+//! campaign measurement has always used for its seed schedule. The
+//! collector folds anything the scalar [`CampaignStats`] can be read
 //! from: a materialized
 //! [`CampaignOutcome`](diversify_attack::campaign::CampaignOutcome) or
 //! the stats themselves (the allocation-free workspace path behind
@@ -29,12 +29,12 @@
 pub use diversify_des::exec::{
     accept_all, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause,
     MeanCollector, Monitor, PartialRun, PlanError, Precision, Replication, ReplicationFailure,
-    ReplicationPlan, Reseed, RetryPolicy, RunPolicy, RunSpec, StopRule, VecCollector,
+    ReplicationPlan, RetryPolicy, RunPolicy, RunSpec, StopRule, Unfinished, VecCollector,
     DEFAULT_STREAM_NAMESPACE,
 };
 pub use diversify_des::faults::{FaultKind, FaultPlan, InjectedPanic};
 
-use crate::indicators::{IndicatorAccum, IndicatorSummary};
+use crate::indicators::IndicatorAccum;
 use crate::runner::Measurements;
 use diversify_attack::campaign::CampaignStats;
 use serde::{Deserialize, Serialize};
@@ -59,85 +59,73 @@ pub fn campaign_plan(batches: u32, batch_size: u32, master_seed: u64) -> Replica
     ReplicationPlan::new(batches, batch_size, master_seed).with_namespace(CAMPAIGN_STREAM_NAMESPACE)
 }
 
-/// Streaming accumulator behind [`MeasurementsCollector`]: the indicator
-/// moments plus per-batch counters. O(batches) state — no campaign
-/// outcome survives its own `accumulate` call.
-#[derive(Debug, Clone, Default)]
-pub struct MeasurementsAccum {
-    /// Indicator moments over every folded replication.
-    pub indicators: IndicatorAccum,
-    /// Per-batch partial sums, in batch order.
-    batches: Vec<BatchAccum>,
-}
-
-/// Running per-batch state: the counters batch means derive from.
-/// `count` tracks how many replications actually folded into the batch —
-/// equal to the plan's batch size on a fault-free run, smaller when the
-/// a fault-tolerant run skipped failed replications, so batch means stay
-/// means over *completed* replications instead of silently deflating.
-#[derive(Debug, Clone, Copy)]
-struct BatchAccum {
-    batch: u32,
-    count: u32,
-    successes: u32,
-    compromised_sum: f64,
-}
-
-/// One batch's wire-portable counters — the exported form of the
-/// accumulator's private per-batch state, so shard workers can ship
-/// batch-granular partial measurements and a coordinator can rebuild a
-/// [`MeasurementsAccum`] bit-exactly with
-/// [`MeasurementsAccum::from_parts`].
+/// One batch's fold: the indicator accumulator over exactly the batch's
+/// completed replications, plus the compromised-ratio sum its batch
+/// mean divides. It is the element of [`MeasurementsAccum`], the unit a
+/// shard worker ships and the unit the indicator service memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatchRecord {
-    /// Global batch index (a shard reports `plan.first_batch() + local`).
+pub struct BatchSnapshot {
+    /// Global batch index: `plan.first_batch() + plan.batch_of(i)`.
     pub batch: u32,
-    /// Replications folded into the batch.
-    pub count: u32,
-    /// Successful campaigns in the batch.
-    pub successes: u32,
     /// Sum of final compromised ratios over the batch.
     pub compromised_sum: f64,
+    /// Indicator moments over the batch's completed replications.
+    pub indicators: IndicatorAccum,
+}
+
+/// Streaming accumulator behind [`MeasurementsCollector`]: one
+/// [`BatchSnapshot`] per batch, in batch order. O(batches) state — no
+/// campaign outcome survives its own `accumulate` call.
+#[derive(Debug, Clone, Default)]
+pub struct MeasurementsAccum {
+    /// The folded batches, in batch order. Whoever fills it directly
+    /// (the serve coordinator, from shard reports) keeps that order.
+    pub batches: Vec<BatchSnapshot>,
 }
 
 impl MeasurementsAccum {
-    /// The per-batch counters, in fold order.
-    pub fn batch_records(&self) -> impl Iterator<Item = BatchRecord> + '_ {
-        self.batches.iter().map(|b| BatchRecord {
-            batch: b.batch,
-            count: b.count,
-            successes: b.successes,
-            compromised_sum: b.compromised_sum,
-        })
+    /// The indicator accumulator over every batch: the batches' own
+    /// accumulators merged in batch order. That is the executor's fold
+    /// tree, so the result is bit-identical wherever each batch ran.
+    #[must_use]
+    pub fn indicators(&self) -> IndicatorAccum {
+        let mut total = IndicatorAccum::new();
+        for b in &self.batches {
+            total.merge(&b.indicators);
+        }
+        total
     }
 
-    /// Rebuilds an accumulator from transported parts. The caller owns
-    /// the fold contract: `records` must be in batch order and
-    /// `indicators` must cover exactly the replications the records
-    /// count — the serve coordinator guarantees both by folding shard
-    /// results in global batch order.
-    pub fn from_parts(
-        indicators: IndicatorAccum,
-        records: impl IntoIterator<Item = BatchRecord>,
-    ) -> Self {
-        MeasurementsAccum {
-            indicators,
-            batches: records
-                .into_iter()
-                .map(|r| BatchAccum {
-                    batch: r.batch,
-                    count: r.count,
-                    successes: r.successes,
-                    compromised_sum: r.compromised_sum,
-                })
+    /// Closes the accumulator into [`Measurements`]: the overall
+    /// [`IndicatorSummary`](crate::indicators::IndicatorSummary) plus
+    /// one success fraction and one mean compromised ratio per batch.
+    /// `None` when no replication folded.
+    ///
+    /// A batch mean divides by the replications that actually folded
+    /// into the batch, so a batch that lost replications to isolated
+    /// failures reports the mean over its survivors.
+    #[must_use]
+    pub fn measurements(&self) -> Option<Measurements> {
+        Some(Measurements {
+            summary: self.indicators().finish().ok()?,
+            batch_p_success: self
+                .batches
+                .iter()
+                .map(|b| b.indicators.p_success())
                 .collect(),
-        }
+            batch_compromised: self
+                .batches
+                .iter()
+                .map(|b| b.compromised_sum / b.indicators.replications() as f64)
+                .collect(),
+        })
     }
 }
 
 /// A [`Collector`] streaming campaign outcomes into [`Measurements`]:
-/// the overall [`IndicatorSummary`] plus per-batch success fractions and
-/// compromised ratios (the ANOVA replicate units).
+/// the overall [`IndicatorSummary`](crate::indicators::IndicatorSummary)
+/// plus per-batch success fractions and compromised ratios (the ANOVA
+/// replicate units).
 ///
 /// Generic over the replication output: it folds anything the scalar
 /// [`CampaignStats`] can be read from — a full
@@ -168,25 +156,25 @@ where
         outcome: T,
     ) {
         let stats = CampaignStats::from(&outcome);
-        let batch = plan.batch_of(rep.index);
+        let batch = plan.first_batch() + plan.batch_of(rep.index);
         match acc.batches.last_mut() {
             Some(last) if last.batch == batch => {
-                last.count += 1;
-                last.successes += u32::from(stats.succeeded());
                 last.compromised_sum += stats.final_compromised_ratio;
+                last.indicators.push_stats(&stats);
             }
-            _ => acc.batches.push(BatchAccum {
-                batch,
-                count: 1,
-                successes: u32::from(stats.succeeded()),
-                compromised_sum: stats.final_compromised_ratio,
-            }),
+            _ => {
+                let mut indicators = IndicatorAccum::new();
+                indicators.push_stats(&stats);
+                acc.batches.push(BatchSnapshot {
+                    batch,
+                    compromised_sum: stats.final_compromised_ratio,
+                    indicators,
+                });
+            }
         }
-        acc.indicators.push_stats(&stats);
     }
 
     fn merge(&self, into: &mut MeasurementsAccum, other: MeasurementsAccum) {
-        into.indicators.merge(&other.indicators);
         into.batches.extend(other.batches);
     }
 
@@ -194,75 +182,11 @@ where
         // Budgeted runs may fold fewer batches (truncation) or fewer
         // replications per batch (isolated failures) than the plan.
         debug_assert!(acc.batches.len() <= plan.batches() as usize);
-        // Divide by the folded count, so a degraded batch reports the
-        // mean over its survivors. On a fault-free run every count
-        // equals the plan's batch size and the division — and therefore
-        // the output — is bit-identical to the pre-fault-tolerance
-        // collector.
-        let batch_p_success = acc
-            .batches
-            .iter()
-            .map(|b| f64::from(b.successes) / f64::from(b.count))
-            .collect();
-        let batch_compromised = acc
-            .batches
-            .iter()
-            .map(|b| b.compromised_sum / f64::from(b.count))
-            .collect();
-        Measurements {
-            // The executor never calls `finish` on an empty fold
-            // (a run that completed nothing returns `output: None`), so the
-            // accumulator holds at least one replication here.
-            #[allow(clippy::disallowed_methods)]
-            summary: acc
-                .indicators
-                .finish()
-                .expect("finish is never called on an empty fold"),
-            batch_p_success,
-            batch_compromised,
-        }
-    }
-}
-
-/// A [`Collector`] streaming campaign outcomes into a plain
-/// [`IndicatorSummary`], ignoring batch structure — the fold behind
-/// unbatched campaign sweeps such as the R6 threat-model comparison.
-/// Like [`MeasurementsCollector`] it is generic over anything
-/// [`CampaignStats`] can be read from.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IndicatorsCollector;
-
-impl<T> Collector<T> for IndicatorsCollector
-where
-    T: Send,
-    for<'a> CampaignStats: From<&'a T>,
-{
-    type Accum = IndicatorAccum;
-    type Output = IndicatorSummary;
-
-    fn empty(&self) -> IndicatorAccum {
-        IndicatorAccum::new()
-    }
-
-    fn accumulate(
-        &self,
-        _plan: &ReplicationPlan,
-        acc: &mut IndicatorAccum,
-        _rep: Replication,
-        outcome: T,
-    ) {
-        acc.push_stats(&CampaignStats::from(&outcome));
-    }
-
-    fn merge(&self, into: &mut IndicatorAccum, other: IndicatorAccum) {
-        into.merge(&other);
-    }
-
-    fn finish(&self, _plan: &ReplicationPlan, acc: IndicatorAccum) -> IndicatorSummary {
-        // The executor never calls `finish` on an empty fold (budgeted
-        // paths return `output: None` instead).
+        // The executor never calls `finish` on an empty fold (a run that
+        // completed nothing returns `output: None`), so the accumulator
+        // holds at least one replication here.
         #[allow(clippy::disallowed_methods)]
-        acc.finish()
+        acc.measurements()
             .expect("finish is never called on an empty fold")
     }
 }

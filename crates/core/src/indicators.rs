@@ -14,7 +14,7 @@ use diversify_des::Precision;
 use diversify_stats::{
     proportion_ci, BernoulliCounter, ConfidenceInterval, RawMoments, StatsError, StreamingSummary,
 };
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// The indicator an adaptive run monitors for its precision target.
@@ -31,7 +31,11 @@ pub enum PrecisionResponse {
 /// Streaming accumulator for the security indicators: every campaign
 /// outcome folds in as it completes, and two partial accumulators merge
 /// into the accumulator of their concatenated outcome streams.
-#[derive(Debug, Clone, Default)]
+///
+/// The accumulator is its own wire form (see its `Deserialize` impl),
+/// so a shard worker ships it and a coordinator merges it as if it had
+/// been folded locally.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IndicatorAccum {
     /// Success per replication (trials = replications).
     success: BernoulliCounter,
@@ -87,6 +91,13 @@ impl IndicatorAccum {
         self.success.trials()
     }
 
+    /// The fraction of folded replications that succeeded (0 before the
+    /// first one).
+    #[must_use]
+    pub fn p_success(&self) -> f64 {
+        self.success.proportion()
+    }
+
     /// The current precision of `response` at confidence `level`, or
     /// `None` while the interval cannot be computed yet (e.g. fewer than
     /// two observations for a t interval) — or while the estimate is
@@ -117,39 +128,6 @@ impl IndicatorAccum {
         Some(Precision {
             estimate: ci.estimate,
             half_width: ci.half_width(),
-        })
-    }
-
-    /// Exports the accumulator's full state as a wire-portable
-    /// [`IndicatorSnapshot`]. `IndicatorAccum::from_snapshot(&s)` is the
-    /// bit-exact inverse, so an accumulator can be built on one machine,
-    /// shipped, and merged on another as if it had been folded locally.
-    #[must_use]
-    pub fn snapshot(&self) -> IndicatorSnapshot {
-        IndicatorSnapshot {
-            success: CounterSnapshot::from_counter(&self.success),
-            detection: CounterSnapshot::from_counter(&self.detection),
-            tta: MomentsSnapshot::from_summary(&self.tta),
-            ttsf: MomentsSnapshot::from_summary(&self.ttsf),
-            compromised: MomentsSnapshot::from_summary(&self.compromised),
-        }
-    }
-
-    /// Rebuilds an accumulator from an exported snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] for counter states no
-    /// sequence of folds can produce (successes exceeding trials) — the
-    /// structural check a transport layer relies on to reject forged or
-    /// corrupted payloads before they poison a merge.
-    pub fn from_snapshot(snap: &IndicatorSnapshot) -> Result<IndicatorAccum, StatsError> {
-        Ok(IndicatorAccum {
-            success: snap.success.to_counter()?,
-            detection: snap.detection.to_counter()?,
-            tta: snap.tta.to_summary(),
-            ttsf: snap.ttsf.to_summary(),
-            compromised: snap.compromised.to_summary(),
         })
     }
 
@@ -184,84 +162,115 @@ impl IndicatorAccum {
     }
 }
 
-/// Wire-portable state of a [`BernoulliCounter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// Number of successes.
-    pub successes: u64,
-    /// Number of trials.
-    pub trials: u64,
+/// The wire form: `success` and `detection` as `{successes, trials}`,
+/// `tta`, `ttsf` and `compromised` as the raw Welford state
+/// `{count, mean, m2, min, max}`. The serve crate's codec carries each
+/// `f64` as its bits, so a round trip is bit-exact, the `±∞` min/max of
+/// an empty moment included.
+impl Serialize for IndicatorAccum {
+    fn to_json_value(&self) -> Value {
+        let counter = |c: &BernoulliCounter| {
+            Value::Object(vec![
+                ("successes".to_owned(), c.successes().to_json_value()),
+                ("trials".to_owned(), c.trials().to_json_value()),
+            ])
+        };
+        let moments = |s: &StreamingSummary| {
+            let raw = s.to_raw();
+            Value::Object(vec![
+                ("count".to_owned(), raw.count.to_json_value()),
+                ("mean".to_owned(), raw.mean.to_json_value()),
+                ("m2".to_owned(), raw.m2.to_json_value()),
+                ("min".to_owned(), raw.min.to_json_value()),
+                ("max".to_owned(), raw.max.to_json_value()),
+            ])
+        };
+        Value::Object(vec![
+            ("success".to_owned(), counter(&self.success)),
+            ("detection".to_owned(), counter(&self.detection)),
+            ("tta".to_owned(), moments(&self.tta)),
+            ("ttsf".to_owned(), moments(&self.ttsf)),
+            ("compromised".to_owned(), moments(&self.compromised)),
+        ])
+    }
 }
 
-impl CounterSnapshot {
-    fn from_counter(counter: &BernoulliCounter) -> Self {
-        CounterSnapshot {
-            successes: counter.successes(),
-            trials: counter.trials(),
+/// Parses the wire form and rejects every state that folding finite
+/// campaign statistics cannot produce, so a forged or corrupted batch
+/// is a decode error instead of a NaN in a merged result:
+///
+/// * more successes than trials, or two counters with different trial
+///   counts;
+/// * a moment whose count differs from its counter: TTA from the
+///   successes, TTSF from the detections, the compromised ratio from
+///   the trials;
+/// * a non-empty moment with a non-finite mean, m2, min or max, a
+///   negative m2, or min above max;
+/// * an empty moment other than the empty state (mean and m2 zero, the
+///   `±∞` min/max sentinels).
+impl Deserialize for IndicatorAccum {
+    fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
+        let success = counter(v, "success")?;
+        let detection = counter(v, "detection")?;
+        if detection.trials() != success.trials() {
+            return Err(invalid(
+                "detection",
+                "trials differ from the success counter's",
+            ));
         }
-    }
-
-    fn to_counter(self) -> Result<BernoulliCounter, StatsError> {
-        BernoulliCounter::from_counts(self.successes, self.trials)
-    }
-}
-
-/// Wire-portable Welford state of a [`StreamingSummary`]. The `f64`
-/// fields round-trip bit-exactly through the serve crate's binary codec
-/// (which transports `f64::to_bits`), including the `±∞` min/max
-/// sentinels of an empty summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MomentsSnapshot {
-    /// Number of observations.
-    pub count: u64,
-    /// Running mean.
-    pub mean: f64,
-    /// Summed squared deviation from the mean.
-    pub m2: f64,
-    /// Smallest observation (`+∞` when empty).
-    pub min: f64,
-    /// Largest observation (`-∞` when empty).
-    pub max: f64,
-}
-
-impl MomentsSnapshot {
-    fn from_summary(summary: &StreamingSummary) -> Self {
-        let raw = summary.to_raw();
-        MomentsSnapshot {
-            count: raw.count,
-            mean: raw.mean,
-            m2: raw.m2,
-            min: raw.min,
-            max: raw.max,
-        }
-    }
-
-    fn to_summary(self) -> StreamingSummary {
-        StreamingSummary::from_raw(RawMoments {
-            count: self.count,
-            mean: self.mean,
-            m2: self.m2,
-            min: self.min,
-            max: self.max,
+        Ok(IndicatorAccum {
+            success,
+            detection,
+            tta: moments(v, "tta", success.successes())?,
+            ttsf: moments(v, "ttsf", detection.successes())?,
+            compromised: moments(v, "compromised", success.trials())?,
         })
     }
 }
 
-/// The full exported state of an [`IndicatorAccum`] — the unit the serve
-/// crate ships from shard workers to the coordinator, and the payload a
-/// memo store persists between requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IndicatorSnapshot {
-    /// Success counter state.
-    pub success: CounterSnapshot,
-    /// Detection counter state.
-    pub detection: CounterSnapshot,
-    /// Time-To-Attack moments.
-    pub tta: MomentsSnapshot,
-    /// Time-To-Security-Failure moments.
-    pub ttsf: MomentsSnapshot,
-    /// Compromised-ratio moments.
-    pub compromised: MomentsSnapshot,
+fn invalid(key: &str, what: &str) -> serde::Error {
+    serde::Error::custom(format!("invalid `{key}` of `IndicatorAccum`: {what}"))
+}
+
+fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, serde::Error> {
+    v.get(key)
+        .ok_or_else(|| serde::Error::custom(format!("missing field `{key}` of `IndicatorAccum`")))
+}
+
+fn counter(v: &Value, key: &str) -> Result<BernoulliCounter, serde::Error> {
+    let c = field(v, key)?;
+    let successes = u64::from_json_value(field(c, "successes")?)?;
+    let trials = u64::from_json_value(field(c, "trials")?)?;
+    BernoulliCounter::from_counts(successes, trials)
+        .map_err(|_| invalid(key, "successes exceed trials"))
+}
+
+fn moments(v: &Value, key: &str, count: u64) -> Result<StreamingSummary, serde::Error> {
+    let m = field(v, key)?;
+    let float = |name| f64::from_json_value(field(m, name)?);
+    let raw = RawMoments {
+        count: u64::from_json_value(field(m, "count")?)?,
+        mean: float("mean")?,
+        m2: float("m2")?,
+        min: float("min")?,
+        max: float("max")?,
+    };
+    if raw.count != count {
+        return Err(invalid(key, "count differs from its counter"));
+    }
+    let reachable = if raw.count == 0 {
+        raw == StreamingSummary::new().to_raw()
+    } else {
+        [raw.mean, raw.m2, raw.min, raw.max]
+            .into_iter()
+            .all(f64::is_finite)
+            && raw.m2 >= 0.0
+            && raw.min <= raw.max
+    };
+    if !reachable {
+        return Err(invalid(key, "moments no fold can produce"));
+    }
+    Ok(StreamingSummary::from_raw(raw))
 }
 
 /// Aggregated security indicators for one system configuration.
@@ -491,6 +500,120 @@ mod tests {
         assert!(acc
             .precision(PrecisionResponse::CompromisedRatio, 0.95)
             .is_some());
+    }
+
+    fn stats(tta: Option<u32>, ttd: Option<u32>, ratio: f64) -> CampaignStats {
+        CampaignStats {
+            time_to_attack: tta,
+            time_to_detection: ttd,
+            final_compromised_ratio: ratio,
+            deepest_stage: diversify_attack::stage::AttackStage::Initial,
+            firewall_blocks: 0,
+            payload_failures: 0,
+        }
+    }
+
+    /// Overwrites the wire-form field at `path`.
+    fn set(v: &mut Value, path: &[&str], new: Value) {
+        let mut at = v;
+        for key in path {
+            let Value::Object(pairs) = at else {
+                panic!("no object above `{key}`")
+            };
+            at = &mut pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("field exists")
+                .1;
+        }
+        *at = new;
+    }
+
+    #[test]
+    fn wire_form_round_trips_bit_exactly() {
+        let mut acc = IndicatorAccum::new();
+        for o in outcomes(20) {
+            acc.push(&o);
+        }
+        let empty = IndicatorAccum::new();
+        for a in [acc, empty] {
+            let wire = a.to_json_value();
+            let back = IndicatorAccum::from_json_value(&wire).unwrap();
+            assert_eq!(back.to_json_value(), wire);
+            assert_eq!(back, a);
+        }
+        // An empty moment travels with its ±∞ sentinels.
+        let wire = empty.to_json_value();
+        let tta = wire.get("tta").unwrap();
+        assert_eq!(tta.get("min"), Some(&f64::INFINITY.to_json_value()));
+        assert_eq!(tta.get("max"), Some(&f64::NEG_INFINITY.to_json_value()));
+    }
+
+    #[test]
+    fn wire_form_rejects_states_no_fold_produces() {
+        // Three replications: one succeeds, two are detected, so every
+        // moment but a forged one is non-empty and consistent.
+        let mut acc = IndicatorAccum::new();
+        acc.push_stats(&stats(Some(5), Some(7), 0.5));
+        acc.push_stats(&stats(None, Some(9), 0.25));
+        acc.push_stats(&stats(None, None, 0.0));
+        let nan = f64::NAN.to_json_value();
+        let inf = f64::INFINITY.to_json_value();
+        let cases: Vec<(&str, &[&str], Value)> = vec![
+            (
+                "successes > trials",
+                &["success", "successes"],
+                4u64.to_json_value(),
+            ),
+            (
+                "trial counts differ",
+                &["detection", "trials"],
+                4u64.to_json_value(),
+            ),
+            (
+                "TTA count != successes",
+                &["tta", "count"],
+                8u64.to_json_value(),
+            ),
+            (
+                "TTSF count != detections",
+                &["ttsf", "count"],
+                1u64.to_json_value(),
+            ),
+            (
+                "ratio count != trials",
+                &["compromised", "count"],
+                2u64.to_json_value(),
+            ),
+            ("NaN mean", &["tta", "mean"], nan.clone()),
+            ("infinite mean", &["ttsf", "mean"], inf.clone()),
+            ("NaN m2", &["compromised", "m2"], nan),
+            (
+                "negative m2",
+                &["compromised", "m2"],
+                (-1.0f64).to_json_value(),
+            ),
+            ("infinite max", &["compromised", "max"], inf),
+            ("min > max", &["ttsf", "min"], 10.0f64.to_json_value()),
+        ];
+        for (what, path, value) in cases {
+            let mut wire = acc.to_json_value();
+            set(&mut wire, path, value);
+            assert!(IndicatorAccum::from_json_value(&wire).is_err(), "{what}");
+        }
+
+        // No success: the TTA moment is empty and must be the empty state.
+        let mut failures = IndicatorAccum::new();
+        failures.push_stats(&stats(None, Some(3), 0.1));
+        for (field, value) in [("mean", 1.0f64), ("min", 0.0), ("max", 0.0)] {
+            let mut wire = failures.to_json_value();
+            set(&mut wire, &["tta", field], value.to_json_value());
+            assert!(
+                IndicatorAccum::from_json_value(&wire).is_err(),
+                "empty TTA moment with {field} {value}"
+            );
+        }
+        assert!(IndicatorAccum::from_json_value(&failures.to_json_value()).is_ok());
     }
 
     #[test]

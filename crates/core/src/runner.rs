@@ -179,7 +179,7 @@ pub fn measure_configuration_run(
 ) -> PartialRun<Measurements> {
     let sim = CampaignSimulator::new(network, threat.clone(), config);
     let precision = |acc: &MeasurementsAccum, _completed: u32| {
-        target.and_then(|t| acc.indicators.precision(t.response, t.level))
+        target.and_then(|t| acc.indicators().precision(t.response, t.level))
     };
     let monitor: Monitor<'_, MeasurementsAccum> = &precision;
     let spec = RunSpec {

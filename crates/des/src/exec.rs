@@ -490,6 +490,34 @@ impl Collector<f64> for MeanCollector {
     }
 }
 
+/// Runs collector `C`'s fold but skips its `finish`: the run's output is
+/// the accumulator itself. For callers that ship or store the state of
+/// a fold rather than its result — a shard worker sends its batches'
+/// accumulators to a coordinator, which merges and finishes them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unfinished<C>(pub C);
+
+impl<T, C: Collector<T>> Collector<T> for Unfinished<C> {
+    type Accum = C::Accum;
+    type Output = C::Accum;
+
+    fn empty(&self) -> C::Accum {
+        self.0.empty()
+    }
+
+    fn accumulate(&self, plan: &ReplicationPlan, acc: &mut C::Accum, rep: Replication, value: T) {
+        self.0.accumulate(plan, acc, rep, value);
+    }
+
+    fn merge(&self, into: &mut C::Accum, other: C::Accum) {
+        self.0.merge(into, other);
+    }
+
+    fn finish(&self, _plan: &ReplicationPlan, acc: C::Accum) -> C::Accum {
+        acc
+    }
+}
+
 /// A point estimate with its confidence-interval half-width — what a
 /// [`StopRule`] judges. Produced by the *monitor* closure of an adaptive
 /// [`RunSpec`] (typically from a streaming accumulator's moment-based
@@ -757,59 +785,34 @@ impl std::fmt::Display for BudgetOutcome {
     }
 }
 
-/// How retry attempts re-derive a failed replication's seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reseed {
-    /// Every attempt re-runs the replication's own plan seed — the
-    /// right policy for transient *environmental* faults, and the one
-    /// that makes a successful retry bit-identical to a fault-free run
-    /// (same seed → same draw schedule → same trajectory).
-    SameSeed,
-    /// Attempt `k > 0` derives `derive_seed(base, salt ^ k)` — an escape
-    /// hatch for faults that are *deterministic in the seed* (a
-    /// trajectory that always trips the same bug), trading bit-identity
-    /// for availability. The salt keeps retry streams disjoint from
-    /// every plan namespace.
-    AttemptSalt(u64),
-}
-
 /// Bounded, deterministic re-execution of failed replications.
 ///
-/// Retries run *inline* in the worker that owns the replication, before
-/// its slot in the fold, so the fold shape — and therefore serial ≡
-/// parallel bit-identity — is untouched no matter how many attempts a
-/// replication needs.
+/// Every attempt re-runs the replication's own plan seed — the right
+/// policy for transient *environmental* faults, and the one that makes a
+/// successful retry bit-identical to a fault-free run (same seed → same
+/// draw schedule → same trajectory). Retries run *inline* in the worker
+/// that owns the replication, before its slot in the fold, so the fold
+/// shape — and therefore serial ≡ parallel bit-identity — is untouched
+/// no matter how many attempts a replication needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
-    reseed: Reseed,
 }
 
 impl RetryPolicy {
     /// No retries: one attempt per replication.
     #[must_use]
     pub const fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            reseed: Reseed::SameSeed,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// Up to `retries` re-attempts after the first failure, each from
-    /// the replication's own seed ([`Reseed::SameSeed`]).
+    /// the replication's own seed.
     #[must_use]
     pub const fn retries(retries: u32) -> Self {
         RetryPolicy {
             max_attempts: retries.saturating_add(1),
-            reseed: Reseed::SameSeed,
         }
-    }
-
-    /// Switches re-attempts to [`Reseed::AttemptSalt`] with `salt`.
-    #[must_use]
-    pub const fn with_reseed_salt(mut self, salt: u64) -> Self {
-        self.reseed = Reseed::AttemptSalt(salt);
-        self
     }
 
     /// Total attempts allowed per replication (first run included);
@@ -817,27 +820,6 @@ impl RetryPolicy {
     #[must_use]
     pub const fn max_attempts(&self) -> u32 {
         self.max_attempts
-    }
-
-    /// The reseeding policy for attempts after the first.
-    #[must_use]
-    pub const fn reseed(&self) -> Reseed {
-        self.reseed
-    }
-
-    /// The seed attempt `attempt` (zero-based) runs under, given the
-    /// replication's plan seed.
-    #[must_use]
-    pub fn seed_for_attempt(&self, base_seed: u64, attempt: u32) -> u64 {
-        if attempt == 0 {
-            return base_seed;
-        }
-        match self.reseed {
-            Reseed::SameSeed => base_seed,
-            Reseed::AttemptSalt(salt) => {
-                derive_seed(base_seed, StreamId(salt ^ u64::from(attempt)))
-            }
-        }
     }
 }
 
@@ -1086,13 +1068,9 @@ where
     F: Fn(&mut W, Replication) -> T + Sync + Send,
     V: Fn(&T) -> bool + Sync,
 {
-    let base_seed = plan.seed_for(index);
+    let rep = plan.replication(index);
     let mut last: Option<Box<TaskError>> = None;
     for attempt in 0..retry.max_attempts() {
-        let rep = Replication {
-            index,
-            seed: retry.seed_for_attempt(base_seed, attempt),
-        };
         // AssertUnwindSafe: on Err every value the closure touched (the
         // checked-out workspace, the task's locals) is dropped during
         // the unwind — nothing partially-mutated is observed afterwards.
@@ -1102,7 +1080,7 @@ where
                 last = Some(Box::new(TaskError {
                     failure: ReplicationFailure {
                         index,
-                        seed: base_seed,
+                        seed: rep.seed,
                         attempts: attempt + 1,
                         cause: FailureCause::InvalidOutput,
                     },
@@ -1113,7 +1091,7 @@ where
                 last = Some(Box::new(TaskError {
                     failure: ReplicationFailure {
                         index,
-                        seed: base_seed,
+                        seed: rep.seed,
                         attempts: attempt + 1,
                         cause: FailureCause::Panicked(crate::faults::panic_message(
                             payload.as_ref(),
@@ -2258,23 +2236,6 @@ mod tests {
             );
             assert!(!run.is_degraded());
         }
-    }
-
-    #[test]
-    fn attempt_salt_reseeds_only_retries() {
-        let retry = RetryPolicy::retries(3).with_reseed_salt(0xBEEF);
-        assert_eq!(
-            retry.seed_for_attempt(42, 0),
-            42,
-            "first attempt keeps the plan seed"
-        );
-        let second = retry.seed_for_attempt(42, 1);
-        assert_ne!(second, 42);
-        assert_eq!(second, derive_seed(42, StreamId(0xBEEF ^ 1)));
-        assert_ne!(retry.seed_for_attempt(42, 2), second);
-        // SameSeed never drifts.
-        let same = RetryPolicy::retries(3);
-        assert_eq!(same.seed_for_attempt(42, 2), 42);
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! fails — what a seed-deterministic bug looks like) or **transient**
 //! ([`FaultPlan::transient`]: the first *k* attempts fail, then the
 //! index recovers — what an environmental hiccup looks like, and the
-//! case [`RetryPolicy`](crate::exec::RetryPolicy) with
-//! [`Reseed::SameSeed`](crate::exec::Reseed::SameSeed) is designed to
-//! erase completely).
+//! case [`RetryPolicy`](crate::exec::RetryPolicy), which reruns the
+//! replication's own seed, is designed to erase completely).
 //!
 //! Injected panics carry an [`InjectedPanic`] payload rather than a
 //! string, so [`silence_injected_panics`] can install a panic hook that

@@ -78,7 +78,7 @@ pub mod time;
 pub use calendar::{Calendar, EventToken};
 pub use exec::{
     Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause, Monitor,
-    PartialRun, PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan, Reseed,
+    PartialRun, PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan,
     RetryPolicy, RunPolicy, RunSpec, StopRule,
 };
 pub use faults::{FaultKind, FaultPlan, InjectedPanic};

@@ -1,4 +1,4 @@
-//! Exact transient and steady-state evaluation of SAN reward variables —
+//! Exact transient evaluation of SAN reward variables —
 //! the analytic counterpart of the Monte-Carlo
 //! [`TransientSolver`](crate::TransientSolver).
 //!
@@ -132,8 +132,8 @@ impl AnalyticSolver {
     /// [`SanError::StateSpaceCap`], [`SanError::VanishingLoop`]), and
     /// returns [`SanError::AnalyticUnsupported`] when `horizon ×
     /// max-exit-rate` exceeds ~10⁹ — uniformization would need that many
-    /// matrix-vector steps, so such horizons belong to the steady-state
-    /// or Monte-Carlo paths instead.
+    /// matrix-vector steps, so such horizons belong to the Monte-Carlo
+    /// path instead.
     pub fn solve(
         &self,
         model: &SanModel,
@@ -147,7 +147,7 @@ impl AnalyticSolver {
         if max_exit * horizon > 1.0e9 {
             return Err(SanError::AnalyticUnsupported {
                 what: "a horizon requiring over ~1e9 uniformization steps \
-                       (use steady_state or Monte-Carlo)",
+                       (use Monte-Carlo)",
             });
         }
         let tracked = space.tracked().to_vec();
@@ -225,70 +225,6 @@ impl AnalyticSolver {
             replications: 0,
             horizon: self.horizon,
         })
-    }
-
-    /// Steady-state evaluation: stationary expectations for Rate rewards
-    /// and stationary firing rates for Impulse rewards. The long-run
-    /// distribution comes from power iteration on the uniformized chain
-    /// *started from the initial distribution* — exact for irreducible
-    /// chains, and for reducible ones (several recurrent classes, or
-    /// absorbing states) it converges to the long-run mixture actually
-    /// reachable from the initial marking, which pure stationary-equation
-    /// solvers cannot recover. A convergence failure is reported as an
-    /// error rather than silently falling back to Gauss–Seidel — on a
-    /// reducible chain the stationary equations have non-unique
-    /// solutions, so a fallback could return an arbitrary one. Callers
-    /// who know their chain is irreducible can run
-    /// [`Ctmc::steady_state_gauss_seidel`] directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::AnalyticUnsupported`] for FirstPassage rewards
-    /// (a stationary hitting time is not defined) or when the iteration
-    /// fails to converge; propagates exploration failures.
-    pub fn steady_state(
-        &self,
-        model: &SanModel,
-        rewards: &[RewardSpec],
-    ) -> Result<Vec<RewardEstimate>, SanError> {
-        if rewards
-            .iter()
-            .any(|r| matches!(r, RewardSpec::FirstPassage { .. }))
-        {
-            return Err(SanError::AnalyticUnsupported {
-                what: "steady-state first-passage rewards",
-            });
-        }
-        let space = self.explore(model, rewards)?;
-        let chain = Ctmc::from_state_space(&space);
-        let pi = chain.steady_state_power(space.initial(), self.tol.min(1e-12), 200_000)?;
-        let tracked = space.tracked().to_vec();
-        Ok(rewards
-            .iter()
-            .map(|spec| match spec {
-                RewardSpec::Rate { name, f } => {
-                    let value = pi
-                        .iter()
-                        .enumerate()
-                        .map(|(s, &p)| f(space.state(s)) * p)
-                        .sum();
-                    exact_estimate(name, Some(value), 1.0)
-                }
-                RewardSpec::Impulse { name, activity } => {
-                    let k = tracked
-                        .iter()
-                        .position(|&t| t == *activity)
-                        .expect("impulse activity was tracked");
-                    let value = pi
-                        .iter()
-                        .enumerate()
-                        .map(|(s, &p)| space.impulse_intensity(s, k) * p)
-                        .sum();
-                    exact_estimate(name, Some(value), 1.0)
-                }
-                RewardSpec::FirstPassage { .. } => unreachable!("rejected above"),
-            })
-            .collect())
     }
 }
 
@@ -411,104 +347,12 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_rate_and_impulse() {
-        let mut b = SanBuilder::new();
-        let up = b.place("up", 1);
-        let down = b.place("down", 0);
-        b.timed_activity("fail", FiringDistribution::Exponential { rate: 2.0 })
-            .input_arc(up, 1)
-            .output_arc(down, 1)
-            .build();
-        b.timed_activity("repair", FiringDistribution::Exponential { rate: 3.0 })
-            .input_arc(down, 1)
-            .output_arc(up, 1)
-            .build();
-        let model = b.build().unwrap();
-        let up_id = model.place_by_name("up").unwrap();
-        let fail = model.activity_by_name("fail").unwrap();
-        let solver = AnalyticSolver::new(SimTime::from_secs(1.0), 1e-10);
-        let est = solver
-            .steady_state(
-                &model,
-                &[
-                    RewardSpec::rate("up", move |m| f64::from(m.tokens(up_id))),
-                    RewardSpec::impulse("fail-rate", fail),
-                ],
-            )
-            .unwrap();
-        assert!((est[0].stats.mean() - 0.6).abs() < 1e-8);
-        assert!((est[1].stats.mean() - 1.2).abs() < 1e-8);
-    }
-
-    #[test]
-    fn steady_state_weights_recurrent_classes_by_reachability() {
-        // A reducible chain: the start branches 0.9/0.1 into two disjoint
-        // two-state cycles, every state keeping a positive exit rate.
-        // The long-run occupancy of cycle A must be 0.9 — the stationary
-        // equations alone (Gauss–Seidel) cannot see the branch
-        // probability, so this pins the power-from-initial path.
-        let mut b = SanBuilder::new();
-        let start = b.place("start", 1);
-        let a1 = b.place("a1", 0);
-        let a2 = b.place("a2", 0);
-        let b1 = b.place("b1", 0);
-        let b2 = b.place("b2", 0);
-        b.timed_activity("branch", FiringDistribution::Exponential { rate: 1.0 })
-            .input_arc(start, 1)
-            .case(0.9, vec![(a1, 1)])
-            .case(0.1, vec![(b1, 1)])
-            .build();
-        for (name, from, to) in [
-            ("a12", a1, a2),
-            ("a21", a2, a1),
-            ("b12", b1, b2),
-            ("b21", b2, b1),
-        ] {
-            b.timed_activity(name, FiringDistribution::Exponential { rate: 2.0 })
-                .input_arc(from, 1)
-                .output_arc(to, 1)
-                .build();
-        }
-        let model = b.build().unwrap();
-        let solver = AnalyticSolver::new(SimTime::from_secs(1.0), 1e-10);
-        let est = solver
-            .steady_state(
-                &model,
-                &[RewardSpec::rate("in-a", move |m| {
-                    f64::from(m.tokens(a1) + m.tokens(a2))
-                })],
-            )
-            .unwrap();
-        assert!(
-            (est[0].stats.mean() - 0.9).abs() < 1e-6,
-            "cycle-A occupancy {}",
-            est[0].stats.mean()
-        );
-    }
-
-    #[test]
     fn huge_horizon_is_rejected_not_hung() {
         let model = failure_model(1.0);
         let down = model.place_by_name("down").unwrap();
         let solver = AnalyticSolver::new(SimTime::from_secs(1e16), 1e-10);
         let err = solver
             .solve(
-                &model,
-                &[RewardSpec::first_passage("hit", move |m| {
-                    m.tokens(down) == 1
-                })],
-            )
-            .unwrap_err();
-        assert!(matches!(err, SanError::AnalyticUnsupported { .. }));
-    }
-
-    #[test]
-    fn steady_state_rejects_first_passage() {
-        let model = failure_model(1.0);
-        let down = model.place_by_name("down").unwrap();
-        let solver = AnalyticSolver::new(SimTime::from_secs(1.0), 1e-10);
-        let err = solver
-            .steady_state(
                 &model,
                 &[RewardSpec::first_passage("hit", move |m| {
                     m.tokens(down) == 1

@@ -1,6 +1,5 @@
 //! Exact numerical solution of sparse CTMCs: transient analysis by
-//! **uniformization** with adaptive (Fox–Glynn-style) Poisson truncation,
-//! and steady-state analysis by power iteration or Gauss–Seidel.
+//! **uniformization** with adaptive (Fox–Glynn-style) Poisson truncation.
 //!
 //! A [`Ctmc`] is a CSR infinitesimal generator detached from any SAN
 //! structure; [`crate::analytic`] builds one from a
@@ -22,7 +21,6 @@
 //! form is what rate rewards (time averages) and first-passage means
 //! consume.
 
-use crate::error::SanError;
 use crate::statespace::StateSpace;
 
 /// Poisson probabilities `pois(λt; n)` for `n = 0..=right()`, computed
@@ -299,101 +297,6 @@ impl Ctmc {
             steps: right + 1,
         }
     }
-
-    /// Steady-state distribution by power iteration on the uniformized
-    /// DTMC, starting from `initial`. For an irreducible chain this is
-    /// the unique stationary distribution; for an absorbing chain it
-    /// converges to the absorption distribution reachable from
-    /// `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::AnalyticUnsupported`] if the iteration has not
-    /// converged to `tol` after `max_iters` steps.
-    pub fn steady_state_power(
-        &self,
-        initial: &[(usize, f64)],
-        tol: f64,
-        max_iters: usize,
-    ) -> Result<Vec<f64>, SanError> {
-        let n = self.state_count();
-        let mut v = vec![0.0; n];
-        for &(s, p) in initial {
-            v[s] += p;
-        }
-        let max_exit = self.exit.iter().cloned().fold(0.0f64, f64::max);
-        if max_exit == 0.0 {
-            return Ok(v);
-        }
-        let lambda = max_exit * 1.02;
-        let mut next = vec![0.0; n];
-        for _ in 0..max_iters {
-            self.step(&v, lambda, &mut next);
-            let delta = v
-                .iter()
-                .zip(&next)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            std::mem::swap(&mut v, &mut next);
-            if delta < tol {
-                let total: f64 = v.iter().sum();
-                v.iter_mut().for_each(|p| *p /= total);
-                return Ok(v);
-            }
-        }
-        Err(SanError::AnalyticUnsupported {
-            what: "steady state: power iteration did not converge",
-        })
-    }
-
-    /// Steady-state distribution by Gauss–Seidel sweeps over `πQ = 0`
-    /// (`π_j = Σ_{i≠j} π_i q_ij / exit_j`), normalized each sweep.
-    /// Requires an irreducible chain — every state must have an exit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::AnalyticUnsupported`] if a state is absorbing
-    /// (the stationary equations are then underdetermined) or the sweeps
-    /// have not converged to `tol` after `max_iters`.
-    pub fn steady_state_gauss_seidel(
-        &self,
-        tol: f64,
-        max_iters: usize,
-    ) -> Result<Vec<f64>, SanError> {
-        let n = self.state_count();
-        if self.exit.contains(&0.0) {
-            return Err(SanError::AnalyticUnsupported {
-                what: "steady state via Gauss-Seidel on a chain with absorbing states",
-            });
-        }
-        // Transpose to incoming lists: in_edges[j] = [(i, q_ij)].
-        let mut in_edges: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                in_edges[self.cols[k]].push((i, self.rates[k]));
-            }
-        }
-        let mut pi = vec![1.0 / n as f64; n];
-        for _ in 0..max_iters {
-            let mut delta = 0.0f64;
-            for j in 0..n {
-                let inflow: f64 = in_edges[j].iter().map(|&(i, q)| pi[i] * q).sum();
-                let new = inflow / self.exit[j];
-                delta = delta.max((new - pi[j]).abs());
-                pi[j] = new;
-            }
-            let total: f64 = pi.iter().sum();
-            if total > 0.0 {
-                pi.iter_mut().for_each(|p| *p /= total);
-            }
-            if delta < tol {
-                return Ok(pi);
-            }
-        }
-        Err(SanError::AnalyticUnsupported {
-            what: "steady state: Gauss-Seidel did not converge",
-        })
-    }
 }
 
 #[cfg(test)]
@@ -470,27 +373,11 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_both_methods_match_closed_form() {
-        let c = two_state();
-        let expect = [0.6, 0.4]; // μ/(λ+μ), λ/(λ+μ)
-        let power = c.steady_state_power(&[(0, 1.0)], 1e-12, 100_000).unwrap();
-        let gs = c.steady_state_gauss_seidel(1e-13, 100_000).unwrap();
-        for s in 0..2 {
-            assert!((power[s] - expect[s]).abs() < 1e-8, "power {power:?}");
-            assert!((gs[s] - expect[s]).abs() < 1e-8, "gs {gs:?}");
-        }
-    }
-
-    #[test]
     fn absorbing_chain_transient_absorbs() {
         // 0 -> 1 at rate 1, state 1 absorbing.
         let c = Ctmc::from_parts(vec![0, 1, 1], vec![1], vec![1.0], vec![1.0, 0.0]);
         let sol = c.transient(&[(0, 1.0)], 3.0, 1e-12);
         assert!((sol.pi[1] - (1.0 - (-3.0f64).exp())).abs() < 1e-9);
-        let gs = c.steady_state_gauss_seidel(1e-10, 1000);
-        assert!(matches!(gs, Err(SanError::AnalyticUnsupported { .. })));
-        let power = c.steady_state_power(&[(0, 1.0)], 1e-12, 100_000).unwrap();
-        assert!((power[1] - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! When every timed activity is exponential, the same model is an exact
 //! continuous-time Markov chain: [`explore`] enumerates its tangible
 //! state space (with vanishing-state elimination), the [`ctmc`] module
-//! solves it by uniformization or steady-state iteration, and
+//! solves it by uniformization, and
 //! [`AnalyticSolver`] evaluates the same [`RewardSpec`]s exactly — a
 //! second, independent oracle for every security indicator. Choose per
 //! call with [`solver::Method`] / [`solve`].

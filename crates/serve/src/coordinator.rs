@@ -6,9 +6,10 @@
 //! [`SweepOptions::heartbeat_timeout`] or its worker is declared dead
 //! and the shard is re-dealt. Because every shard keeps its global
 //! `namespace ^ index` seed schedule (see
-//! [`ReplicationPlan::with_first_batch`]), a re-dealt shard recomputes
-//! bit-identical batches on any worker — merged results are executor-,
-//! placement-, and failure-history-invariant.
+//! [`ReplicationPlan::with_first_batch`](diversify_des::exec::ReplicationPlan::with_first_batch)),
+//! a re-dealt shard recomputes bit-identical batches on any worker —
+//! merged results are executor-, placement-, and
+//! failure-history-invariant.
 //!
 //! Failure handling is graduated:
 //!
@@ -24,11 +25,9 @@
 use crate::channel::Channel;
 use crate::protocol::{BatchSnapshot, FromWorker, ShardOutcome, ShardSpec, ToWorker};
 use crate::wire::{decode_message, encode_message};
-use diversify_attack::campaign::CampaignStats;
-use diversify_core::exec::{Collector, MeasurementsAccum, MeasurementsCollector};
-use diversify_core::indicators::IndicatorAccum;
-use diversify_des::exec::{CancelToken, ReplicationPlan};
-use diversify_stats::StatsError;
+use diversify_core::exec::MeasurementsAccum;
+use diversify_core::runner::Measurements;
+use diversify_des::exec::CancelToken;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -130,77 +129,43 @@ impl SweepReport {
             .collect()
     }
 
-    /// Merges one cell's accepted batches into
-    /// [`Measurements`](diversify_core::runner::Measurements),
-    /// reproducing the executor's fold shape (see [`merge_batches`]).
-    pub fn merge_cell(
-        &self,
-        cell: u32,
-    ) -> Result<Option<diversify_core::runner::Measurements>, StatsError> {
-        merge_batches(&self.cell_batches(cell))
+    /// Merges one cell's accepted batches into [`Measurements`]
+    /// exactly as the local fold closes its own: one
+    /// [`IndicatorAccum::merge`](diversify_core::indicators::IndicatorAccum::merge)
+    /// per batch, in global batch order, of batches the workers folded
+    /// in replication order. So the result is bit-identical to an
+    /// unsharded run of the same batches, wherever each batch ran.
+    /// `None` when no batch of the cell was accepted.
+    #[must_use]
+    pub fn merge_cell(&self, cell: u32) -> Option<Measurements> {
+        MeasurementsAccum {
+            batches: self.cell_batches(cell),
+        }
+        .measurements()
     }
-}
-
-/// Left-folds validated per-batch snapshots, in order, into the
-/// [`Measurements`](diversify_core::runner::Measurements) a local run
-/// would produce. This reproduces the executor's exact fold tree — one
-/// [`IndicatorAccum::merge`] per batch, batch contents pre-folded in
-/// replication order by the worker — so the result is bit-identical to
-/// an unsharded run of the same batches, wherever each batch actually
-/// ran. Returns `Ok(None)` for an empty batch list.
-pub fn merge_batches(
-    batches: &[BatchSnapshot],
-) -> Result<Option<diversify_core::runner::Measurements>, StatsError> {
-    let Some(first) = batches.first() else {
-        return Ok(None);
-    };
-    let mut indicators = IndicatorAccum::new();
-    let mut records = Vec::with_capacity(batches.len());
-    for snap in batches {
-        let batch_accum = IndicatorAccum::from_snapshot(&snap.indicators)?;
-        indicators.merge(&batch_accum);
-        records.push(snap.record);
-    }
-    let accum = MeasurementsAccum::from_parts(indicators, records);
-    // `finish` only reads the plan for a sanity bound on batch count;
-    // seeds do not matter here.
-    let plan = ReplicationPlan::try_new(batches.len() as u32, first.record.count.max(1), 0)
-        .map_err(|_| StatsError::InvalidParameter {
-            what: "batch list does not form a plan",
-        })?;
-    Ok(Some(Collector::<CampaignStats>::finish(
-        &MeasurementsCollector,
-        &plan,
-        accum,
-    )))
 }
 
 /// The longest clean prefix of `outcome.batches` consistent with
 /// `spec`: consecutive global batch ids from the shard's first batch,
 /// every batch full (its whole batch size folded — a partial batch
-/// would poison bit-identity), counters self-consistent, moments
-/// finite and rebuildable. Anything after the first violation is
-/// discarded; a violating *first* batch means zero progress.
+/// would poison bit-identity) and its compromised-ratio sum finite.
+/// Anything after the first violation is discarded; a violating *first*
+/// batch means zero progress. Each batch's indicator accumulator was
+/// already checked when its frame decoded: the wire form of
+/// [`IndicatorAccum`](diversify_core::indicators::IndicatorAccum)
+/// rejects every state no fold can produce.
 fn clean_prefix(spec: &ShardSpec, outcome: &ShardOutcome) -> usize {
-    let mut accepted = 0usize;
-    for snap in outcome.batches.iter().take(spec.plan.batches as usize) {
-        let expected = spec.plan.first_batch + accepted as u32;
-        let record = snap.record;
-        let full = record.batch == expected
-            && record.count == spec.plan.batch_size
-            && record.successes <= record.count
-            && record.compromised_sum.is_finite()
-            && snap.indicators.success.trials == u64::from(record.count)
-            && snap.indicators.compromised.count == u64::from(record.count)
-            && snap.indicators.compromised.mean.is_finite()
-            && snap.indicators.compromised.m2.is_finite()
-            && IndicatorAccum::from_snapshot(&snap.indicators).is_ok();
-        if !full {
-            break;
-        }
-        accepted += 1;
-    }
-    accepted
+    outcome
+        .batches
+        .iter()
+        .take(spec.plan.batches as usize)
+        .enumerate()
+        .take_while(|&(i, snap)| {
+            snap.batch == spec.plan.first_batch + i as u32
+                && snap.indicators.replications() == u64::from(spec.plan.batch_size)
+                && snap.compromised_sum.is_finite()
+        })
+        .count()
 }
 
 /// A shard waiting to run (again).
@@ -613,9 +578,7 @@ fn settle_done(
     for snap in &outcome.batches[..accepted] {
         // First write wins: a shard rerun is bit-identical by
         // construction, so late duplicates carry no new information.
-        batches
-            .entry((task.spec.cell, snap.record.batch))
-            .or_insert(*snap);
+        batches.entry((task.spec.cell, snap.batch)).or_insert(*snap);
     }
     if accepted as u32 == task.spec.plan.batches {
         health.insert(
@@ -691,13 +654,14 @@ mod tests {
     use super::*;
     use crate::channel::loopback_pair;
     use crate::protocol::{BudgetSpec, PlanSpec};
-    use crate::worker::{run_worker, WorkerOptions};
+    use crate::worker::{execute_shard, run_worker, WorkerOptions};
     use diversify_attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
     use diversify_core::exec::{campaign_plan, MeasurementsCollector};
-    use diversify_core::runner::Measurements;
+    use diversify_core::runner::measure_configuration_with;
     use diversify_des::exec::Executor;
     use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan};
     use diversify_scada::scope::{ScopeConfig, ScopeSystem};
+    use proptest::prelude::*;
     use std::sync::Arc;
     use std::thread::JoinHandle;
 
@@ -776,7 +740,7 @@ mod tests {
         let mut coordinator = Coordinator::new(channels, sweep_options());
         let report = coordinator.run_sweep(vec![shard(0, 0, 2), shard(1, 2, 2)]);
         assert!(!report.is_degraded());
-        let merged = report.merge_cell(0).unwrap().unwrap();
+        let merged = report.merge_cell(0).unwrap();
         assert_identical(&merged, &reference(4));
         coordinator.shutdown();
         drop(coordinator);
@@ -806,7 +770,7 @@ mod tests {
         // The shard made progress (batch 0), so the retry is not
         // counted against it.
         assert_eq!(report.health[0].state, ShardState::Completed);
-        let merged = report.merge_cell(0).unwrap().unwrap();
+        let merged = report.merge_cell(0).unwrap();
         assert_identical(&merged, &reference(4));
     }
 
@@ -840,7 +804,7 @@ mod tests {
             health.state
         );
         // The clean prefix (batches 0 and 1) still merged bit-exactly.
-        let merged = report.merge_cell(0).unwrap().unwrap();
+        let merged = report.merge_cell(0).unwrap();
         assert_identical(&merged, &reference(2));
     }
 
@@ -862,7 +826,7 @@ mod tests {
         let report = coordinator.run_sweep(vec![shard(0, 0, 3)]);
         assert!(!report.is_degraded(), "health: {:?}", report.health);
         assert_eq!(coordinator.live_workers(), 1);
-        let merged = report.merge_cell(0).unwrap().unwrap();
+        let merged = report.merge_cell(0).unwrap();
         assert_identical(&merged, &reference(3));
     }
 
@@ -880,7 +844,7 @@ mod tests {
         let mut coordinator = Coordinator::new(channels, sweep_options());
         let report = coordinator.run_sweep(vec![shard(0, 0, 3)]);
         assert!(!report.is_degraded(), "health: {:?}", report.health);
-        let merged = report.merge_cell(0).unwrap().unwrap();
+        let merged = report.merge_cell(0).unwrap();
         assert_identical(&merged, &reference(3));
     }
 
@@ -939,5 +903,74 @@ mod tests {
             report.health[0].state,
             ShardState::Quarantined { .. }
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any tiling of a plan into shards folds to the local result:
+        /// each shard runs through the worker's shard execution, the
+        /// coordinator accepts its report and merges the cell, and the
+        /// merged measurements equal `measure_configuration_with` on
+        /// the whole plan bit for bit. `cuts[i]` ends a shard after
+        /// batch `i`.
+        #[test]
+        fn any_shard_tiling_folds_to_the_local_result(
+            batches in 1u32..=8,
+            batch_size in 1u32..=5,
+            cuts in prop::collection::vec(any::<bool>(), 7),
+            parallel in any::<bool>(),
+        ) {
+            let executor = if parallel {
+                Executor::parallel()
+            } else {
+                Executor::serial()
+            };
+            let options = WorkerOptions {
+                executor,
+                ..WorkerOptions::default()
+            };
+            let cancel = CancelToken::new();
+            let mut pending = VecDeque::new();
+            let mut accepted = BTreeMap::new();
+            let mut health = BTreeMap::new();
+            let mut first_batch = 0;
+            for end in 1..=batches {
+                if end < batches && !cuts[end as usize - 1] {
+                    continue;
+                }
+                let mut spec = shard(health.len() as u32, first_batch, end - first_batch);
+                spec.plan.batch_size = batch_size;
+                let outcome = execute_shard(&spec, &options, &cancel);
+                let task = Task {
+                    spec,
+                    attempts: 0,
+                    not_before: Instant::now(),
+                    last_error: String::new(),
+                };
+                let backoff = (Duration::ZERO, Duration::ZERO);
+                settle_done(&mut pending, &mut accepted, &mut health, task, &outcome, 1, backoff, None);
+                first_batch = end;
+            }
+            prop_assert!(pending.is_empty());
+            prop_assert!(health.values().all(|h| h.state == ShardState::Completed));
+            let report = SweepReport {
+                batches: accepted,
+                health: health.into_values().collect(),
+                cancelled: false,
+                deadline_expired: false,
+            };
+            let merged = report.merge_cell(0).unwrap();
+
+            let system = ScopeSystem::build(&ScopeConfig::default());
+            let local = measure_configuration_with(
+                system.network(),
+                &ThreatModel::stuxnet_like(),
+                CAMPAIGN,
+                &campaign_plan(batches, batch_size, SEED),
+                Executor::serial(),
+            );
+            prop_assert_eq!(format!("{merged:?}"), format!("{local:?}"));
+        }
     }
 }

@@ -19,9 +19,7 @@ pub mod wire;
 pub mod worker;
 
 pub use channel::{loopback_pair, Channel, ChannelError, LoopbackChannel, TcpChannel};
-pub use coordinator::{
-    merge_batches, Coordinator, ShardHealth, ShardState, SweepOptions, SweepReport,
-};
+pub use coordinator::{Coordinator, ShardHealth, ShardState, SweepOptions, SweepReport};
 pub use protocol::{BatchSnapshot, ShardOutcome, ShardSpec};
 pub use service::{
     DoeSweep, IndicatorRequest, IndicatorResponse, IndicatorService, PrecisionGoal, ServiceOptions,

@@ -1,15 +1,15 @@
 //! The coordinator↔worker message vocabulary.
 //!
-//! Every type here is a plain serde-derived DTO: the wire carries
-//! per-*batch* indicator snapshots (never pre-merged shard accumulators)
-//! because the Chan/Welford merge is not associative in `f64` — only a
-//! coordinator-side left-fold in global batch order reproduces the
-//! executor's exact fold tree and keeps merged indicators bit-identical
-//! to a single-process run. See [`crate::coordinator`].
+//! Every type here is a plain serde-derived DTO. The wire carries
+//! per-*batch* accumulators, the [`BatchSnapshot`]s of the local fold
+//! (never pre-merged shard accumulators), because the Chan/Welford
+//! merge is not associative in `f64`: only a coordinator-side left-fold
+//! in global batch order reproduces the executor's exact fold tree and
+//! keeps merged indicators bit-identical to a single-process run. See
+//! [`crate::coordinator`].
 
 use diversify_attack::campaign::{CampaignConfig, ThreatModel};
-use diversify_core::exec::BatchRecord;
-use diversify_core::indicators::IndicatorSnapshot;
+pub use diversify_core::exec::BatchSnapshot;
 use diversify_des::exec::{Budget, BudgetOutcome, CancelToken, PlanError, ReplicationPlan};
 use diversify_scada::scope::ScopeConfig;
 use serde::{Deserialize, Serialize};
@@ -97,16 +97,6 @@ pub struct ShardSpec {
     pub plan: PlanSpec,
     /// Execution budget for this lease.
     pub budget: BudgetSpec,
-}
-
-/// One batch's results: ANOVA counters plus the indicator moments of
-/// exactly that batch's replications, in wire form.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatchSnapshot {
-    /// Per-batch counters (global batch index).
-    pub record: BatchRecord,
-    /// Indicator moments over the batch's completed replications.
-    pub indicators: IndicatorSnapshot,
 }
 
 /// A replication that exhausted its retry attempts on the worker.

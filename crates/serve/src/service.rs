@@ -21,13 +21,13 @@
 //! produce.
 
 use crate::channel::{loopback_pair, Channel};
-use crate::coordinator::{merge_batches, Coordinator, ShardHealth, SweepOptions, SweepReport};
+use crate::coordinator::{Coordinator, ShardHealth, SweepOptions, SweepReport};
 use crate::protocol::{BatchSnapshot, BudgetSpec, PlanSpec, ShardSpec};
 use crate::worker::{run_worker, WorkerOptions};
 use diversify_attack::campaign::{CampaignConfig, ThreatModel};
-use diversify_core::exec::CAMPAIGN_STREAM_NAMESPACE;
+use diversify_core::exec::{MeasurementsAccum, CAMPAIGN_STREAM_NAMESPACE};
 use diversify_core::factors::{factor_profile, FactorLevel};
-use diversify_core::indicators::{IndicatorAccum, PrecisionResponse};
+use diversify_core::indicators::PrecisionResponse;
 use diversify_core::pipeline::PipelineConfig;
 use diversify_core::runner::Measurements;
 use diversify_core::ContentKey;
@@ -341,7 +341,7 @@ impl IndicatorService {
                 // Accept the contiguous continuation; a hole behind a
                 // quarantined shard ends what this call can serve.
                 for snap in report.cell_batches(0) {
-                    if snap.record.batch == have.len() as u32 {
+                    if snap.batch == have.len() as u32 {
                         have.push(snap);
                         new_replications += request.batch_size;
                     }
@@ -360,8 +360,11 @@ impl IndicatorService {
                     break;
                 }
                 Some(goal) => {
-                    let accum = fold_accum(&have[..target as usize]);
-                    let met = accum
+                    let wave = MeasurementsAccum {
+                        batches: have[..target as usize].to_vec(),
+                    };
+                    let met = wave
+                        .indicators()
                         .precision(goal.response, goal.level)
                         .is_some_and(|p| p.relative_half_width() <= goal.relative_half_width);
                     if met {
@@ -377,20 +380,13 @@ impl IndicatorService {
         }
 
         let served = target.min(have.len() as u32);
-        let serving = &have[..served as usize];
-        let measurements = match merge_batches(serving) {
-            Ok(m) => m,
-            Err(_) => {
-                // Unreachable for coordinator-validated batches, but a
-                // typed degradation beats a panic if the invariant ever
-                // breaks.
-                degraded = true;
-                None
-            }
+        let serving = MeasurementsAccum {
+            batches: have[..served as usize].to_vec(),
         };
+        let measurements = serving.measurements();
         let precision = request
             .goal
-            .and_then(|g| fold_accum(serving).precision(g.response, g.level));
+            .and_then(|g| serving.indicators().precision(g.response, g.level));
 
         if !degraded && !cancelled && !deadline_expired {
             let mut memo = lock(&self.memo);
@@ -509,7 +505,7 @@ impl IndicatorService {
         let report = lock(&self.coordinator).run_sweep(specs);
         let cells = alias
             .iter()
-            .map(|&rep| report.merge_cell(rep as u32).ok().flatten())
+            .map(|&rep| report.merge_cell(rep as u32))
             .collect();
         DoeSweep {
             cells,
@@ -546,19 +542,6 @@ pub struct DoeSweep {
     pub deadline_expired: bool,
     /// Per-shard terminal states.
     pub health: Vec<ShardHealth>,
-}
-
-/// Left-folds batch snapshots into one accumulator, in order —
-/// the executor's fold shape (invalid snapshots fold as empty; the
-/// coordinator validated them already).
-fn fold_accum(batches: &[BatchSnapshot]) -> IndicatorAccum {
-    let mut acc = IndicatorAccum::new();
-    for snap in batches {
-        if let Ok(batch) = IndicatorAccum::from_snapshot(&snap.indicators) {
-            acc.merge(&batch);
-        }
-    }
-    acc
 }
 
 #[cfg(test)]

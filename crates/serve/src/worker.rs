@@ -3,26 +3,25 @@
 //! [`run_worker`] is a message loop over one [`Channel`]. For each
 //! leased [`ShardSpec`] it builds the plant, runs the shard's slice of
 //! the replication plan under the spec's
-//! [`Budget`](diversify_des::exec::Budget), and reports the
-//! result as per-batch snapshots (the wire's fold-preserving unit —
-//! see [`crate::protocol`]). While a shard runs, a supervisor thread
-//! keeps heartbeating and listening for [`ToWorker::Cancel`], so a
-//! coordinator-side cancel crosses the channel and stops the shard at
-//! its next batch boundary via the executor's [`CancelToken`].
+//! [`Budget`](diversify_des::exec::Budget) through the local path's
+//! [`MeasurementsCollector`], and reports that fold's per-batch
+//! [`BatchSnapshot`](crate::protocol::BatchSnapshot)s (the wire's
+//! fold-preserving unit — see [`crate::protocol`]). While a shard runs,
+//! a supervisor thread keeps heartbeating and listening for
+//! [`ToWorker::Cancel`], so a coordinator-side cancel crosses the
+//! channel and stops the shard at its next batch boundary via the
+//! executor's [`CancelToken`].
 //!
 //! Shard execution runs on a scoped thread whose panics are caught at
 //! `join` — a panicking cell (or an injected [`FaultPlan`] fault) turns
 //! into a [`FromWorker::Failed`] message, never a dead worker process.
 
 use crate::channel::{Channel, ChannelError};
-use crate::protocol::{BatchSnapshot, FromWorker, ShardFailure, ShardOutcome, ShardSpec, ToWorker};
+use crate::protocol::{FromWorker, ShardFailure, ShardOutcome, ShardSpec, ToWorker};
 use crate::wire::{decode_message, encode_message};
 use diversify_attack::campaign::{CampaignSimulator, CampaignStats};
-use diversify_core::exec::BatchRecord;
-use diversify_core::indicators::IndicatorAccum;
-use diversify_des::exec::{
-    CancelToken, Collector, Executor, Replication, ReplicationPlan, RetryPolicy, RunPolicy, RunSpec,
-};
+use diversify_core::exec::{MeasurementsCollector, Unfinished};
+use diversify_des::exec::{CancelToken, Executor, Replication, RetryPolicy, RunPolicy, RunSpec};
 use diversify_des::faults::{panic_message, FaultPlan};
 use diversify_scada::scope::ScopeSystem;
 use std::sync::Arc;
@@ -57,63 +56,15 @@ impl Default for WorkerOptions {
     }
 }
 
-/// Collects one shard's replications as `(record, indicators)` pairs,
-/// one per batch, in batch order — the unmerged wire form. Never
-/// pre-merges across batches: that is the coordinator's left-fold.
-struct ShardCollector {
-    first_batch: u32,
-}
-
-impl Collector<CampaignStats> for ShardCollector {
-    type Accum = Vec<(BatchRecord, IndicatorAccum)>;
-    type Output = Vec<(BatchRecord, IndicatorAccum)>;
-
-    fn empty(&self) -> Self::Accum {
-        Vec::new()
-    }
-
-    fn accumulate(
-        &self,
-        plan: &ReplicationPlan,
-        acc: &mut Self::Accum,
-        rep: Replication,
-        stats: CampaignStats,
-    ) {
-        let batch = self.first_batch + plan.batch_of(rep.index);
-        if acc.last().map(|(r, _)| r.batch) != Some(batch) {
-            acc.push((
-                BatchRecord {
-                    batch,
-                    count: 0,
-                    successes: 0,
-                    compromised_sum: 0.0,
-                },
-                IndicatorAccum::new(),
-            ));
-        }
-        // The push above guarantees a last element.
-        #[allow(clippy::disallowed_methods)]
-        let (record, indicators) = acc.last_mut().expect("just pushed");
-        record.count += 1;
-        record.successes += u32::from(stats.succeeded());
-        record.compromised_sum += stats.final_compromised_ratio;
-        indicators.push_stats(&stats);
-    }
-
-    fn merge(&self, into: &mut Self::Accum, other: Self::Accum) {
-        into.extend(other);
-    }
-
-    fn finish(&self, _plan: &ReplicationPlan, acc: Self::Accum) -> Self::Output {
-        acc
-    }
-}
-
 /// Runs the shard's replication loop. May panic (plant construction,
 /// or a bug outside the executor's per-replication isolation) — callers
 /// run it on a scoped thread and convert the join error into
 /// [`FromWorker::Failed`].
-fn execute_shard(spec: &ShardSpec, options: &WorkerOptions, cancel: &CancelToken) -> ShardOutcome {
+pub(crate) fn execute_shard(
+    spec: &ShardSpec,
+    options: &WorkerOptions,
+    cancel: &CancelToken,
+) -> ShardOutcome {
     let plan = match spec.plan.to_plan() {
         Ok(plan) => plan,
         Err(e) => {
@@ -137,9 +88,9 @@ fn execute_shard(spec: &ShardSpec, options: &WorkerOptions, cancel: &CancelToken
     let policy = RunPolicy::new()
         .with_retry(options.retry)
         .with_budget(spec.budget.to_budget(cancel));
-    let collector = ShardCollector {
-        first_batch: plan.first_batch(),
-    };
+    // The run's output is the fold's per-batch accumulators, unmerged:
+    // merging them is the coordinator's left-fold.
+    let collector = Unfinished(MeasurementsCollector);
     let first_replication = plan.first_replication();
     let run_spec = RunSpec::new(&plan).with_policy(&policy);
 
@@ -181,15 +132,7 @@ fn execute_shard(spec: &ShardSpec, options: &WorkerOptions, cancel: &CancelToken
         attempted: run.attempted,
         completed: run.completed,
         outcome: run.budget_outcome.into(),
-        batches: run
-            .output
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(record, indicators)| BatchSnapshot {
-                record,
-                indicators: indicators.snapshot(),
-            })
-            .collect(),
+        batches: run.output.map(|acc| acc.batches).unwrap_or_default(),
         failures: run
             .failed
             .into_iter()
@@ -332,9 +275,9 @@ mod tests {
             &MeasurementsCollector,
         );
         for (i, snap) in out.batches.iter().enumerate() {
-            let p = f64::from(snap.record.successes) / f64::from(snap.record.count);
+            let p = snap.indicators.p_success();
             assert_eq!(p, reference.batch_p_success[i], "batch {i}");
-            let c = snap.record.compromised_sum / f64::from(snap.record.count);
+            let c = snap.compromised_sum / snap.indicators.replications() as f64;
             assert_eq!(c, reference.batch_compromised[i], "batch {i}");
         }
     }
@@ -349,8 +292,8 @@ mod tests {
         let stitched: Vec<_> = head.batches.iter().chain(&tail.batches).copied().collect();
         assert_eq!(stitched.len(), whole.batches.len());
         for (a, b) in stitched.iter().zip(&whole.batches) {
-            assert_eq!(a.record.batch, b.record.batch);
-            assert_eq!(a.record, b.record);
+            assert_eq!(a.batch, b.batch);
+            assert_eq!(a.compromised_sum, b.compromised_sum);
             assert_eq!(a.indicators, b.indicators);
         }
     }

@@ -9,7 +9,8 @@ use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel
 use diversify::core::exec::{campaign_plan, MeasurementsCollector};
 use diversify::core::runner::Measurements;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
-use diversify::serve::channel::{loopback_pair, Channel, TcpChannel};
+use diversify::serve::channel::{loopback_pair, Channel, ChannelError, TcpChannel};
+use diversify::serve::protocol::FromWorker;
 use diversify::serve::service::{IndicatorRequest, IndicatorService, ServiceOptions};
 use diversify::serve::wire::{decode_message, decode_value, encode_message, encode_value};
 use diversify::serve::worker::{run_worker, WorkerOptions};
@@ -17,6 +18,7 @@ use diversify_des::exec::{CancelToken, Executor, RetryPolicy};
 use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan};
 use proptest::prelude::*;
 use serde::{Number, Serialize, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -148,6 +150,105 @@ fn chaos_faults_leave_merged_indicators_bit_identical() {
     assert!(response.target_met);
     assert_identical(response.measurements.as_ref().unwrap(), &reference(4));
     assert!(service.live_workers() >= 1);
+
+    drop(service);
+    for handle in handles {
+        handle.join().unwrap();
+    }
+}
+
+/// A coordinator-side channel that forges the first `Done` report it
+/// relays and re-frames it with a valid checksum: in the first batch the
+/// TTA mean becomes NaN, the TTA count 8 (a batch holds 3
+/// replications), and the TTSF mean +∞.
+struct ForgingChannel<C> {
+    inner: C,
+    forged: Arc<AtomicBool>,
+}
+
+impl<C: Channel> Channel for ForgingChannel<C> {
+    fn send(&mut self, frame: &[u8]) -> Result<(), ChannelError> {
+        self.inner.send(frame)
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, ChannelError> {
+        let Some(frame) = self.inner.recv_timeout(timeout)? else {
+            return Ok(None);
+        };
+        if self.forged.load(Ordering::SeqCst)
+            || !matches!(decode_message(&frame), Ok(FromWorker::Done { .. }))
+        {
+            return Ok(Some(frame));
+        }
+        let mut value: Value = decode_message(&frame).unwrap();
+        let batch = field(&mut value, &["Done", "outcome", "batches"]);
+        let Value::Array(batches) = batch else {
+            panic!("batches is an array")
+        };
+        let indicators = field(&mut batches[0], &["indicators"]);
+        *field(indicators, &["tta", "mean"]) = f64::NAN.to_json_value();
+        *field(indicators, &["tta", "count"]) = 8u64.to_json_value();
+        *field(indicators, &["ttsf", "mean"]) = f64::INFINITY.to_json_value();
+        let forged = encode_message(&value);
+        assert!(
+            decode_message::<Value>(&forged).is_ok(),
+            "the forged frame passes every framing and checksum test"
+        );
+        self.forged.store(true, Ordering::SeqCst);
+        Ok(Some(forged))
+    }
+}
+
+/// The object field at `path` inside a wire value.
+fn field<'v>(value: &'v mut Value, path: &[&str]) -> &'v mut Value {
+    path.iter().fold(value, |at, key| match at {
+        Value::Object(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+        other => panic!("no object above `{key}`: {other:?}"),
+    })
+}
+
+/// A worker whose first `Done` report is forged into a state no fold
+/// can produce: the service rejects it before any merge, re-deals the
+/// shard to the honest worker, and answers — and memoizes — exactly the
+/// local run, with no NaN or infinity anywhere.
+#[test]
+fn forged_batch_never_reaches_the_merge_or_the_memo() {
+    let forged = Arc::new(AtomicBool::new(false));
+    let (forger_side, forger_worker) = loopback_pair();
+    let (honest_side, honest_worker) = loopback_pair();
+    let handles: Vec<_> = [forger_worker, honest_worker]
+        .into_iter()
+        .map(|worker_side| {
+            std::thread::spawn(move || run_worker(worker_side, &WorkerOptions::default()))
+        })
+        .collect();
+    let channels: Vec<Box<dyn Channel>> = vec![
+        Box::new(ForgingChannel {
+            inner: forger_side,
+            forged: Arc::clone(&forged),
+        }),
+        Box::new(honest_side),
+    ];
+    let service = IndicatorService::with_channels(channels, service_options());
+
+    let response = service.request(&request(4));
+    assert!(
+        forged.load(Ordering::SeqCst),
+        "the forging channel relayed no Done report"
+    );
+    assert!(!response.degraded, "health: {:?}", response.health);
+    let measurements = response.measurements.as_ref().unwrap();
+    let summary = &measurements.summary;
+    assert!(summary.mean_tta.is_none_or(f64::is_finite));
+    assert!(summary.mean_ttsf.is_none_or(f64::is_finite));
+    assert_eq!(format!("{measurements:?}"), format!("{:?}", reference(4)));
+
+    let replay = service.request(&request(4));
+    assert!(replay.from_cache);
+    assert_eq!(
+        format!("{:?}", replay.measurements.unwrap()),
+        format!("{:?}", reference(4))
+    );
 
     drop(service);
     for handle in handles {

@@ -384,48 +384,6 @@ fn randomized_sans_simulation_inside_analytic_bands() {
 }
 
 // ---------------------------------------------------------------------
-// Steady state: both iteration schemes vs the long-run simulation.
-// ---------------------------------------------------------------------
-
-#[test]
-fn steady_state_matches_long_run_simulation() {
-    // Cyclic three-queue model: ergodic, known to mix quickly.
-    let mut b = SanBuilder::new();
-    let q0 = b.place("q0", 3);
-    let q1 = b.place("q1", 0);
-    let q2 = b.place("q2", 0);
-    for (name, from, to, rate) in [
-        ("m01", q0, q1, 1.0),
-        ("m12", q1, q2, 1.5),
-        ("m20", q2, q0, 2.0),
-    ] {
-        b.timed_activity(name, FiringDistribution::Exponential { rate })
-            .input_arc(from, 1)
-            .output_arc(to, 1)
-            .build();
-    }
-    let model = b.build().unwrap();
-    let solver = diversify::san::AnalyticSolver::new(SimTime::from_secs(1.0), 1e-10);
-    let est = solver
-        .steady_state(
-            &model,
-            &[RewardSpec::rate("q0", move |m| f64::from(m.tokens(q0)))],
-        )
-        .unwrap();
-    let stationary_q0 = est[0].stats.mean();
-    // Long transient window approximates the stationary time average.
-    let rewards = [RewardSpec::rate("q0", move |m| f64::from(m.tokens(q0)))];
-    let exact_long = analytic(&model, &rewards, 2_000.0);
-    assert!(
-        (exact_long.estimate("q0").unwrap().stats.mean() - stationary_q0).abs() < 1e-3,
-        "transient long-run {} vs stationary {stationary_q0}",
-        exact_long.estimate("q0").unwrap().stats.mean()
-    );
-    let mc = simulated(&model, &rewards, 500.0, 60, 7);
-    assert_mean_agrees("stationary q0", stationary_q0, mc.estimate("q0").unwrap());
-}
-
-// ---------------------------------------------------------------------
 // Property tests for the numerics.
 // ---------------------------------------------------------------------
 
