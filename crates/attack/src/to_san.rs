@@ -215,10 +215,8 @@ impl NetworkCampaignSan {
 /// hour (probability × attempts/tick), the continuous-time analogue of
 /// the tick-based [`CampaignSimulator`](crate::campaign::CampaignSimulator).
 ///
-/// Every gate declares its read and write sets, so the compiled model
-/// exercises the simulator's dependency-indexed fast path end to end —
-/// this is the mid-size workload behind the `san_sim_throughput` bench
-/// and the engine differential tests.
+/// This is the mid-size workload behind the `san_sim_throughput` bench
+/// and the SAN trajectory pins (`tests/san_differential.rs`).
 ///
 /// # Errors
 ///
@@ -307,9 +305,7 @@ pub fn compile_network_campaign(
                     rate: rate_of(p, attempts),
                 },
             )
-            .guard_reading(vec![r_src, i_dst, r_dst], move |m| {
-                m.tokens(r_src) > 0 && m.tokens(i_dst) == 0 && m.tokens(r_dst) == 0
-            })
+            .guard(move |m| m.tokens(r_src) > 0 && m.tokens(i_dst) == 0 && m.tokens(r_dst) == 0)
             .output_arc(i_dst, 1)
             .build();
         }
@@ -327,10 +323,8 @@ pub fn compile_network_campaign(
             continue;
         }
         let pwn = b.place(format!("pwn-{}", net.name(id)), 0);
-        let mut reads = vec![pwn, rooted[id.index()]];
         let mut footholds = vec![rooted[id.index()]];
         for &nb in net.neighbors(id) {
-            reads.push(rooted[nb.index()]);
             footholds.push(rooted[nb.index()]);
         }
         b.timed_activity(
@@ -339,9 +333,7 @@ pub fn compile_network_campaign(
                 rate: rate_of(p, attempts),
             },
         )
-        .guard_reading(reads, move |m| {
-            m.tokens(pwn) == 0 && footholds.iter().any(|&f| m.tokens(f) > 0)
-        })
+        .guard(move |m| m.tokens(pwn) == 0 && footholds.iter().any(|&f| m.tokens(f) > 0))
         .output_arc(pwn, 1)
         .output_arc(impaired, 1)
         .build();
@@ -367,9 +359,7 @@ pub fn compile_network_campaign(
             rate: rate_of(p_detect, 1.0),
         },
     )
-    .guard_reading(vec![active, detected], move |m| {
-        m.tokens(active) > 0 && m.tokens(detected) == 0
-    })
+    .guard(move |m| m.tokens(active) > 0 && m.tokens(detected) == 0)
     .output_arc(detected, 1)
     .build();
 
@@ -564,8 +554,6 @@ mod tests {
             assert_eq!(san.model.place_count(), 4 + 2 * net.node_count() + 4);
             assert!(san.model.activity_count() > 2 * net.link_count());
             assert_eq!(san.goal_tokens, 2); // 50% of 4 PLCs
-                                            // Declared gates everywhere: no conservative fallbacks.
-            assert!(san.model.conservative_read_activities().is_empty());
         }
 
         #[test]

@@ -3,9 +3,9 @@
 //! end-to-end experiments mask them.
 //!
 //! `san_sim_throughput` drives the mid-size SCoPE-derived network-campaign
-//! SAN (≈32 places, ≈53 activities with declared-gate enablement) on both
-//! engines. The model is compiled once, outside the timed loop, so the
-//! samples measure simulation only; the printed mean time divided by the
+//! SAN (≈32 places, ≈53 activities, most enabled through guards). The
+//! model is compiled once, outside the timed loop, so the samples measure
+//! simulation only; the printed mean time divided by the
 //! events-per-iteration line gives the per-event cost.
 //!
 //! `rng_draws` prices one `index`, `draw_index` and `bernoulli` draw, in
@@ -32,7 +32,6 @@ use diversify_core::exec::{
 use diversify_core::runner::{measure_configuration_run, PrecisionTarget};
 use diversify_des::{IndexDraw, RngStream, StreamId};
 use diversify_diversity::config::DiversityConfig;
-use diversify_san::Engine;
 use diversify_scada::fleet::{FleetConfig, FleetSystem};
 use diversify_scada::scope::{ScopeConfig, ScopeSystem};
 use std::hint::black_box;
@@ -49,30 +48,13 @@ const CAMPAIGN_REPS: u32 = 100;
 fn bench_engine(c: &mut Criterion) {
     let san = scope_campaign_san();
     // Report the workload size once so timings translate to events/sec.
-    let events = san_throughput_events(&san.model, Engine::Incremental, REPS, HORIZON_HOURS);
+    let events = san_throughput_events(&san.model, REPS, HORIZON_HOURS);
     println!("san_sim_throughput workload: {events} events per iteration");
 
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     g.bench_function("san_sim_throughput", |b| {
-        b.iter(|| {
-            black_box(san_throughput_events(
-                &san.model,
-                Engine::Incremental,
-                REPS,
-                HORIZON_HOURS,
-            ))
-        })
-    });
-    g.bench_function("san_sim_throughput_full_rescan", |b| {
-        b.iter(|| {
-            black_box(san_throughput_events(
-                &san.model,
-                Engine::FullRescan,
-                REPS,
-                HORIZON_HOURS,
-            ))
-        })
+        b.iter(|| black_box(san_throughput_events(&san.model, REPS, HORIZON_HOURS)))
     });
 
     // Exact backend: state-space exploration plus one uniformization

@@ -753,23 +753,21 @@ pub fn scope_campaign_san() -> diversify_attack::to_san::NetworkCampaignSan {
         .expect("SCoPE network compiles")
 }
 
-/// Runs `reps` replications of `model` on the given engine and returns
-/// the total number of activity firings — the workload behind the
-/// `san_sim_throughput` bench (divide by wall time for events/sec).
-/// One [`SimState`](diversify_san::SimState) is recycled through every
+/// Runs `reps` replications of `model` and returns the total number of
+/// activity firings — the workload behind the `san_sim_throughput`
+/// bench (divide by wall time for events/sec). One
+/// [`SimState`](diversify_san::SimState) is recycled through every
 /// replication, so the loop measures simulation, not setup.
 #[must_use]
 pub fn san_throughput_events(
     model: &diversify_san::SanModel,
-    engine: diversify_san::Engine,
     reps: u32,
     horizon_hours: f64,
 ) -> u64 {
     let mut events = 0u64;
     let mut state = diversify_san::SimState::new(model);
     for rep in 0..reps {
-        let mut sim =
-            diversify_san::Simulator::with_state(model, u64::from(rep) + 1, engine, state);
+        let mut sim = diversify_san::Simulator::with_state(model, u64::from(rep) + 1, state);
         sim.run_until(SimTime::from_secs(horizon_hours));
         events += sim.firings();
         state = sim.into_state();

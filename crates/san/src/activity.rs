@@ -143,25 +143,14 @@ impl ActivityTiming {
 }
 
 /// An input gate: an arbitrary enabling predicate plus a marking update
-/// applied when the owning activity fires.
-///
-/// Gates may optionally *declare* the places their predicate reads and
-/// their effect writes. Declared sets feed the model's marking-dependency
-/// index, letting the simulator re-check only the activities whose
-/// enablement can actually have changed after a firing. Undeclared
-/// (`None`) sets are handled conservatively: an undeclared read-set makes
-/// the owning activity a dependent of every place, an undeclared
-/// write-set forces a full enablement rescan after the owning activity
-/// fires. Correctness never depends on the declarations — only speed.
+/// applied when the owning activity fires. The simulator re-evaluates
+/// every predicate against the current marking after each event, so a
+/// gate may read and write any place.
 pub struct InputGate {
     /// Enabling predicate evaluated against the current marking.
     pub predicate: Box<dyn Fn(&Marking) -> bool + Send + Sync>,
     /// Marking transformation applied on firing (before output effects).
     pub effect: Box<dyn Fn(&mut Marking) + Send + Sync>,
-    /// Places the predicate reads, if declared.
-    pub reads: Option<Vec<PlaceId>>,
-    /// Places the effect writes, if declared.
-    pub writes: Option<Vec<PlaceId>>,
 }
 
 impl fmt::Debug for InputGate {
@@ -174,9 +163,6 @@ impl fmt::Debug for InputGate {
 pub struct OutputGate {
     /// Marking transformation applied on firing (after output arcs).
     pub effect: Box<dyn Fn(&mut Marking) + Send + Sync>,
-    /// Places the effect writes, if declared (see [`InputGate`] for the
-    /// conservative handling of `None`).
-    pub writes: Option<Vec<PlaceId>>,
 }
 
 impl fmt::Debug for OutputGate {

@@ -117,12 +117,6 @@ impl<'a> ActivityBuilder<'a> {
 
     /// Adds an input gate with an enabling `predicate` and a firing
     /// `effect`.
-    ///
-    /// The gate's read and write sets are left undeclared, so the
-    /// simulator treats the owning activity conservatively (re-checked
-    /// after every firing, and every firing of this activity triggers a
-    /// full enablement rescan). Prefer [`Self::input_gate_declared`] on
-    /// models that matter for performance.
     #[must_use]
     pub fn input_gate<P, E>(mut self, predicate: P, effect: E) -> Self
     where
@@ -132,68 +126,17 @@ impl<'a> ActivityBuilder<'a> {
         self.input_gates.push(InputGate {
             predicate: Box::new(predicate),
             effect: Box::new(effect),
-            reads: None,
-            writes: None,
-        });
-        self
-    }
-
-    /// Adds an input gate with declared read and write sets: `reads` must
-    /// cover every place the predicate inspects, `writes` every place the
-    /// effect can modify. The declaration feeds the marking-dependency
-    /// index; an under-declared set silently breaks incremental enablement
-    /// tracking, so declare a superset when in doubt.
-    #[must_use]
-    pub fn input_gate_declared<P, E>(
-        mut self,
-        reads: Vec<PlaceId>,
-        writes: Vec<PlaceId>,
-        predicate: P,
-        effect: E,
-    ) -> Self
-    where
-        P: Fn(&Marking) -> bool + Send + Sync + 'static,
-        E: Fn(&mut Marking) + Send + Sync + 'static,
-    {
-        self.input_gates.push(InputGate {
-            predicate: Box::new(predicate),
-            effect: Box::new(effect),
-            reads: Some(reads),
-            writes: Some(writes),
         });
         self
     }
 
     /// Adds an enabling-only input gate (no marking effect on firing).
-    /// The read set is undeclared; the (empty) write set is declared.
     #[must_use]
-    pub fn guard<P>(mut self, predicate: P) -> Self
+    pub fn guard<P>(self, predicate: P) -> Self
     where
         P: Fn(&Marking) -> bool + Send + Sync + 'static,
     {
-        self.input_gates.push(InputGate {
-            predicate: Box::new(predicate),
-            effect: Box::new(|_| {}),
-            reads: None,
-            writes: Some(Vec::new()),
-        });
-        self
-    }
-
-    /// Adds an enabling-only input gate whose predicate reads exactly the
-    /// declared places (no marking effect on firing).
-    #[must_use]
-    pub fn guard_reading<P>(mut self, reads: Vec<PlaceId>, predicate: P) -> Self
-    where
-        P: Fn(&Marking) -> bool + Send + Sync + 'static,
-    {
-        self.input_gates.push(InputGate {
-            predicate: Box::new(predicate),
-            effect: Box::new(|_| {}),
-            reads: Some(reads),
-            writes: Some(Vec::new()),
-        });
-        self
+        self.input_gate(predicate, |_| {})
     }
 
     /// Adds an output arc to the implicit default case.
@@ -203,8 +146,7 @@ impl<'a> ActivityBuilder<'a> {
         self
     }
 
-    /// Adds an output gate to the implicit default case. The write set is
-    /// undeclared (conservative); see [`Self::output_gate_writing`].
+    /// Adds an output gate to the implicit default case.
     #[must_use]
     pub fn output_gate<E>(mut self, effect: E) -> Self
     where
@@ -212,22 +154,6 @@ impl<'a> ActivityBuilder<'a> {
     {
         self.default_case_gates.push(OutputGate {
             effect: Box::new(effect),
-            writes: None,
-        });
-        self
-    }
-
-    /// Adds an output gate with a declared write set to the implicit
-    /// default case: `writes` must cover every place the effect can
-    /// modify.
-    #[must_use]
-    pub fn output_gate_writing<E>(mut self, writes: Vec<PlaceId>, effect: E) -> Self
-    where
-        E: Fn(&mut Marking) + Send + Sync + 'static,
-    {
-        self.default_case_gates.push(OutputGate {
-            effect: Box::new(effect),
-            writes: Some(writes),
         });
         self
     }
@@ -243,8 +169,7 @@ impl<'a> ActivityBuilder<'a> {
         self
     }
 
-    /// Adds an explicit weighted case whose effect is a gate function with
-    /// an undeclared (conservative) write set.
+    /// Adds an explicit weighted case whose effect is a gate function.
     #[must_use]
     pub fn case_with_gate<E>(mut self, weight: f64, effect: E) -> Self
     where
@@ -255,25 +180,6 @@ impl<'a> ActivityBuilder<'a> {
             output_arcs: Vec::new(),
             output_gates: vec![OutputGate {
                 effect: Box::new(effect),
-                writes: None,
-            }],
-        });
-        self
-    }
-
-    /// Adds an explicit weighted case whose effect is a gate function with
-    /// a declared write set.
-    #[must_use]
-    pub fn case_writing<E>(mut self, weight: f64, writes: Vec<PlaceId>, effect: E) -> Self
-    where
-        E: Fn(&mut Marking) + Send + Sync + 'static,
-    {
-        self.cases.push(Case {
-            weight,
-            output_arcs: Vec::new(),
-            output_gates: vec![OutputGate {
-                effect: Box::new(effect),
-                writes: Some(writes),
             }],
         });
         self

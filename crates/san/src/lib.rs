@@ -19,7 +19,8 @@
 //!
 //! The [`Simulator`] executes a SAN with the race execution policy
 //! (enabled activities race; the earliest completion fires; activities
-//! disabled by a firing are cancelled and re-sample when re-enabled), and
+//! disabled by a firing are cancelled and re-sample when re-enabled),
+//! re-checking every activity in index order after each event, and
 //! [`TransientSolver`] estimates reward variables over independent
 //! replications.
 //!
@@ -81,6 +82,6 @@ pub use ctmc::{poisson_weights, Ctmc, PoissonWeights, TransientDistribution};
 pub use error::SanError;
 pub use model::{ActivityId, Marking, PlaceId, SanModel};
 pub use reward::{FirstPassage, ImpulseReward, Observer, RateReward};
-pub use sim::{Engine, SimState, Simulator};
+pub use sim::{SimState, Simulator};
 pub use solver::{solve, Method, RewardSpec, TransientResult, TransientSolver};
 pub use statespace::{explore, ExploreOptions, StateSpace};

@@ -115,112 +115,6 @@ impl fmt::Display for Marking {
     }
 }
 
-/// The marking-dependency index, derived once at model-build time.
-///
-/// For every place it records which activities' enablement can depend on
-/// that place (input arcs plus declared gate read-sets), split by timing
-/// class, and for every `(activity, case)` pair the set of places a
-/// firing writes (arcs plus declared gate write-sets). The simulator uses
-/// it to visit only affected activities after each event instead of
-/// rescanning the whole activity list.
-#[derive(Debug, Default)]
-pub(crate) struct DependencyIndex {
-    /// Per place: timed activities whose enablement reads it (sorted).
-    pub(crate) timed_dependents: Vec<Vec<ActivityId>>,
-    /// Per place: instantaneous activities whose enablement reads it
-    /// (sorted).
-    pub(crate) instant_dependents: Vec<Vec<ActivityId>>,
-    /// Timed activities with an undeclared gate read-set: affected by
-    /// every marking change (sorted).
-    pub(crate) global_timed: Vec<ActivityId>,
-    /// Instantaneous activities with an undeclared gate read-set (sorted).
-    pub(crate) global_instant: Vec<ActivityId>,
-    /// Every instantaneous activity, in index order.
-    pub(crate) instantaneous: Vec<ActivityId>,
-    /// Per activity, per case: places a firing writes (deduped). Unused
-    /// when the activity's writes are unknown.
-    pub(crate) touched: Vec<Vec<Vec<PlaceId>>>,
-    /// Per activity: whether a firing can write places not captured in
-    /// `touched` (an undeclared gate write-set anywhere on the activity).
-    pub(crate) writes_unknown: Vec<bool>,
-}
-
-impl DependencyIndex {
-    fn build(place_count: usize, activities: &[Activity]) -> Self {
-        let mut idx = DependencyIndex {
-            timed_dependents: vec![Vec::new(); place_count],
-            instant_dependents: vec![Vec::new(); place_count],
-            touched: Vec::with_capacity(activities.len()),
-            writes_unknown: Vec::with_capacity(activities.len()),
-            ..DependencyIndex::default()
-        };
-        for (i, a) in activities.iter().enumerate() {
-            let id = ActivityId(i);
-            let instant = a.is_instantaneous();
-            if instant {
-                idx.instantaneous.push(id);
-            }
-
-            // Read side: places whose token count can gate enablement.
-            let mut reads: Vec<PlaceId> = a.input_arcs.iter().map(|&(p, _)| p).collect();
-            let mut reads_unknown = false;
-            for g in &a.input_gates {
-                match &g.reads {
-                    Some(r) => reads.extend_from_slice(r),
-                    None => reads_unknown = true,
-                }
-            }
-            if reads_unknown {
-                if instant {
-                    idx.global_instant.push(id);
-                } else {
-                    idx.global_timed.push(id);
-                }
-            }
-            reads.sort_unstable();
-            reads.dedup();
-            for p in reads {
-                let deps = if instant {
-                    &mut idx.instant_dependents[p.0]
-                } else {
-                    &mut idx.timed_dependents[p.0]
-                };
-                deps.push(id);
-            }
-
-            // Write side: per-case touched-place lists.
-            let mut writes_unknown = false;
-            let mut pre: Vec<PlaceId> = a.input_arcs.iter().map(|&(p, _)| p).collect();
-            for g in &a.input_gates {
-                match &g.writes {
-                    Some(w) => pre.extend_from_slice(w),
-                    None => writes_unknown = true,
-                }
-            }
-            let mut per_case = Vec::with_capacity(a.cases.len());
-            for c in &a.cases {
-                let mut t = pre.clone();
-                t.extend(c.output_arcs.iter().map(|&(p, _)| p));
-                for g in &c.output_gates {
-                    match &g.writes {
-                        Some(w) => t.extend_from_slice(w),
-                        None => writes_unknown = true,
-                    }
-                }
-                t.sort_unstable();
-                t.dedup();
-                per_case.push(t);
-            }
-            idx.touched.push(per_case);
-            idx.writes_unknown.push(writes_unknown);
-        }
-        // Dependent lists were filled in ascending activity order, so they
-        // are already sorted; dedup is unnecessary because reads were
-        // deduped per activity.
-        idx
-    }
-}
-
 /// An immutable, validated stochastic activity network.
 ///
 /// Build with [`SanBuilder`](crate::SanBuilder).
@@ -228,12 +122,11 @@ pub struct SanModel {
     pub(crate) place_names: Vec<String>,
     pub(crate) initial: Vec<u32>,
     pub(crate) activities: Vec<Activity>,
-    pub(crate) index: DependencyIndex,
 }
 
 impl SanModel {
-    /// Validates the parts, precomputes the dependency index and the
-    /// per-activity case-weight tables, and assembles the model. Called by
+    /// Validates the parts, precomputes the per-activity case-weight
+    /// tables, and assembles the model. Called by
     /// [`SanBuilder::build`](crate::SanBuilder::build).
     pub(crate) fn from_parts(
         place_names: Vec<String>,
@@ -244,13 +137,11 @@ impl SanModel {
             place_names,
             initial,
             activities,
-            index: DependencyIndex::default(),
         };
         model.validate()?;
         for a in &mut model.activities {
             a.case_weights = a.cases.iter().map(|c| c.weight).collect();
         }
-        model.index = DependencyIndex::build(model.place_names.len(), &model.activities);
         Ok(model)
     }
 
@@ -344,79 +235,17 @@ impl SanModel {
             && a.input_gates.iter().all(|g| (g.predicate)(marking))
     }
 
-    /// Timed activities whose enablement can depend on `place` (from input
-    /// arcs and declared gate read-sets), in activity-index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this model.
-    #[must_use]
-    pub fn timed_dependents_of(&self, place: PlaceId) -> &[ActivityId] {
-        &self.index.timed_dependents[place.0]
-    }
-
-    /// Instantaneous activities whose enablement can depend on `place`,
-    /// in activity-index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this model.
-    #[must_use]
-    pub fn instant_dependents_of(&self, place: PlaceId) -> &[ActivityId] {
-        &self.index.instant_dependents[place.0]
-    }
-
-    /// Activities with an undeclared gate read-set, which the simulator
-    /// must re-check after every firing (timed and instantaneous merged,
-    /// in activity-index order).
-    #[must_use]
-    pub fn conservative_read_activities(&self) -> Vec<ActivityId> {
-        let mut all: Vec<ActivityId> = self
-            .index
-            .global_timed
-            .iter()
-            .chain(&self.index.global_instant)
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all
-    }
-
-    /// Whether firing `activity` can write places the dependency index
-    /// cannot enumerate (an undeclared gate write-set), forcing a full
-    /// enablement rescan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this model.
-    #[must_use]
-    pub fn firing_writes_unknown(&self, activity: ActivityId) -> bool {
-        self.index.writes_unknown[activity.0]
-    }
-
     /// Validates internal consistency; called by the builder.
     pub(crate) fn validate(&self) -> Result<(), SanError> {
         if self.activities.is_empty() {
             return Err(SanError::EmptyModel);
         }
         let np = self.place_names.len();
-        let check = |places: Option<&Vec<PlaceId>>| -> Result<(), SanError> {
-            for &p in places.into_iter().flatten() {
-                if p.0 >= np {
-                    return Err(SanError::UnknownPlace { index: p.0 });
-                }
-            }
-            Ok(())
-        };
         for a in &self.activities {
             for &(p, _) in a.input_arcs.iter() {
                 if p.0 >= np {
                     return Err(SanError::UnknownPlace { index: p.0 });
                 }
-            }
-            for g in &a.input_gates {
-                check(g.reads.as_ref())?;
-                check(g.writes.as_ref())?;
             }
             if a.cases.is_empty() {
                 return Err(SanError::NoCases {
@@ -435,9 +264,6 @@ impl SanModel {
                     if p.0 >= np {
                         return Err(SanError::UnknownPlace { index: p.0 });
                     }
-                }
-                for g in &c.output_gates {
-                    check(g.writes.as_ref())?;
                 }
             }
             if total <= 0.0 {

@@ -226,51 +226,6 @@ impl Observer for FirstPassage {
     }
 }
 
-/// Fans callbacks out to several observers.
-#[derive(Default)]
-pub struct MultiObserver<'a> {
-    observers: Vec<&'a mut dyn Observer>,
-}
-
-impl<'a> std::fmt::Debug for MultiObserver<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MultiObserver({} observers)", self.observers.len())
-    }
-}
-
-impl<'a> MultiObserver<'a> {
-    /// Creates an empty multi-observer.
-    #[must_use]
-    pub fn new() -> Self {
-        MultiObserver {
-            observers: Vec::new(),
-        }
-    }
-
-    /// Adds an observer.
-    pub fn push(&mut self, obs: &'a mut dyn Observer) {
-        self.observers.push(obs);
-    }
-}
-
-impl<'a> Observer for MultiObserver<'a> {
-    fn on_marking(&mut self, now: SimTime, marking: &Marking) {
-        for o in &mut self.observers {
-            o.on_marking(now, marking);
-        }
-    }
-    fn on_fire(&mut self, now: SimTime, activity: ActivityId, case: usize, marking: &Marking) {
-        for o in &mut self.observers {
-            o.on_fire(now, activity, case, marking);
-        }
-    }
-    fn on_end(&mut self, now: SimTime, marking: &Marking) {
-        for o in &mut self.observers {
-            o.on_end(now, marking);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,24 +289,6 @@ mod tests {
         sim.run_until_observed(SimTime::from_secs(100.0), &mut fp);
         assert!(!fp.reached());
         assert_eq!(fp.time(), None);
-    }
-
-    #[test]
-    fn multi_observer_fans_out() {
-        let model = counter_model(3);
-        let count = model.place_by_name("count").unwrap();
-        let tick = model.activity_by_name("tick").unwrap();
-        let mut fp = FirstPassage::new(move |m| m.tokens(count) >= 2);
-        let mut imp = ImpulseReward::new(tick, 1.0);
-        {
-            let mut multi = MultiObserver::new();
-            multi.push(&mut fp);
-            multi.push(&mut imp);
-            let mut sim = Simulator::new(&model, 1);
-            sim.run_until_observed(SimTime::from_secs(100.0), &mut multi);
-        }
-        assert_eq!(fp.time(), Some(SimTime::from_secs(2.0)));
-        assert_eq!(imp.count(), 3);
     }
 
     #[test]

@@ -1,20 +1,12 @@
 //! Discrete-event execution of a SAN (race policy with resampling).
 //!
-//! Two interchangeable engines share one firing semantics:
-//!
-//! * [`Engine::Incremental`] (the default) consults the model's
-//!   marking-dependency index so each event re-checks only the activities
-//!   whose enablement can actually have changed, and runs with zero heap
-//!   allocations in the steady state (scratch buffers are reused, case
-//!   weights are precomputed at model build).
-//! * [`Engine::FullRescan`] re-derives enablement for every activity
-//!   after every event — the original O(activities)-per-event reference
-//!   implementation, kept so differential tests can prove the incremental
-//!   bookkeeping reproduces it event for event.
-//!
-//! Both engines draw from the same RNG streams in the same order, so a
-//! given `(model, seed)` pair produces bit-identical trajectories under
-//! either engine.
+//! After every event the simulator settles the instantaneous activities
+//! with an index-order scan, then reconciles every timed activity in
+//! index order: a disabled one loses its scheduled completion, a newly
+//! enabled one samples a delay. Index order fixes the RNG draw schedule,
+//! so a `(model, seed)` pair determines the whole trajectory. The steady
+//! state allocates nothing: scratch buffers live in a recyclable
+//! [`SimState`], and case weights are precomputed at model build.
 
 use crate::activity::ActivityTiming;
 use crate::error::SanError;
@@ -30,17 +22,6 @@ const INSTANTANEOUS_LIMIT: u32 = 100_000;
 const STREAM_DELAYS: u64 = 1;
 const STREAM_CASES: u64 = 2;
 const STREAM_INSTANT: u64 = 3;
-
-/// Enablement-tracking strategy of a [`Simulator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Dependency-indexed incremental enablement tracking (fast path).
-    #[default]
-    Incremental,
-    /// Full O(activities) rescan after every event (reference engine for
-    /// differential testing).
-    FullRescan,
-}
 
 /// Executes one trajectory of a [`SanModel`].
 ///
@@ -65,18 +46,17 @@ pub struct Simulator<'m> {
     instant_rng: RngStream,
     firings: u64,
     error: Option<SanError>,
-    engine: Engine,
 }
 
 /// The recyclable per-replication state of a [`Simulator`]: the marking,
-/// the event calendar, the activity schedule and every incremental-engine
-/// scratch buffer — everything that owns heap memory.
+/// the event calendar, the activity schedule and the cascade scratch —
+/// everything that owns heap memory.
 ///
 /// A Monte-Carlo loop creates one `SimState` per worker and threads it
 /// through its replications:
 ///
 /// ```
-/// use diversify_san::{FiringDistribution, SanBuilder, SimState, Simulator, Engine};
+/// use diversify_san::{FiringDistribution, SanBuilder, SimState, Simulator};
 /// use diversify_des::SimTime;
 ///
 /// let mut b = SanBuilder::new();
@@ -90,7 +70,7 @@ pub struct Simulator<'m> {
 ///
 /// let mut state = SimState::new(&model);
 /// for seed in 0..100 {
-///     let mut sim = Simulator::with_state(&model, seed, Engine::default(), state);
+///     let mut sim = Simulator::with_state(&model, seed, state);
 ///     sim.run_until(SimTime::from_secs(10.0));
 ///     state = sim.into_state(); // buffers survive for the next seed
 /// }
@@ -104,30 +84,11 @@ pub struct SimState {
     marking: Marking,
     calendar: Calendar<ActivityId>,
     scheduled: Vec<Option<EventToken>>,
-    // ---- incremental-engine state (scratch reused across events) ----
-    /// Places written since the last schedule reconciliation (deduped via
-    /// `place_stamp`).
-    touched_places: Vec<usize>,
-    /// Per-place stamp; a place is in `touched_places` iff its stamp
-    /// equals `stamp_gen`.
-    place_stamp: Vec<u64>,
-    /// Per-activity stamp for deduping the affected set.
-    act_stamp: Vec<u64>,
-    /// Current reconciliation cycle; bumped instead of clearing stamps.
-    stamp_gen: u64,
-    /// Set when a firing's write-set is unknown: the next reconciliation
-    /// falls back to a full rescan.
-    touched_all: bool,
-    /// Timed activities to re-check at the next reconciliation (sorted
-    /// before use so RNG draws happen in activity-index order).
-    affected: Vec<usize>,
-    /// Per-activity flag: instantaneous and enabled in the current
-    /// marking. Maintained eagerly after every firing.
-    instant_enabled: Vec<bool>,
-    /// Scratch: enabled instantaneous activity indices, in index order.
-    enabled_buf: Vec<usize>,
-    /// Scratch: their selection weights.
-    weights_buf: Vec<f64>,
+    /// Cascade scratch: the enabled instantaneous activities, in index
+    /// order.
+    enabled: Vec<usize>,
+    /// Cascade scratch: their selection weights.
+    weights: Vec<f64>,
 }
 
 impl std::fmt::Debug for SimState {
@@ -147,15 +108,8 @@ impl SimState {
             marking: Marking::new(Vec::new()),
             calendar: Calendar::new(),
             scheduled: Vec::new(),
-            touched_places: Vec::with_capacity(model.place_count()),
-            place_stamp: Vec::new(),
-            act_stamp: Vec::new(),
-            stamp_gen: 1,
-            touched_all: true,
-            affected: Vec::with_capacity(model.activity_count()),
-            instant_enabled: Vec::new(),
-            enabled_buf: Vec::new(),
-            weights_buf: Vec::new(),
+            enabled: Vec::new(),
+            weights: Vec::new(),
         };
         st.reset(model);
         st
@@ -166,24 +120,12 @@ impl SimState {
     /// has been sized for a model once, resetting for that model (or any
     /// model no larger) allocates nothing.
     pub fn reset(&mut self, model: &SanModel) {
-        let na = model.activity_count();
-        let np = model.place_count();
         model.copy_initial_marking(&mut self.marking);
         self.calendar.clear();
         self.scheduled.clear();
-        self.scheduled.resize(na, None);
-        self.touched_places.clear();
-        self.place_stamp.clear();
-        self.place_stamp.resize(np, 0);
-        self.act_stamp.clear();
-        self.act_stamp.resize(na, 0);
-        self.stamp_gen = 1;
-        self.touched_all = true; // the initial marking "touches" everything
-        self.affected.clear();
-        self.instant_enabled.clear();
-        self.instant_enabled.resize(na, false);
-        self.enabled_buf.clear();
-        self.weights_buf.clear();
+        self.scheduled.resize(model.activity_count(), None);
+        self.enabled.clear();
+        self.weights.clear();
     }
 }
 
@@ -193,35 +135,28 @@ impl<'m> std::fmt::Debug for Simulator<'m> {
             .field("now", &self.now)
             .field("marking", &self.st.marking)
             .field("firings", &self.firings)
-            .field("engine", &self.engine)
             .finish()
     }
 }
 
 impl<'m> Simulator<'m> {
     /// Creates a simulator in the model's initial marking with the given
-    /// replication seed, on the default incremental engine.
+    /// replication seed.
     #[must_use]
     pub fn new(model: &'m SanModel, seed: u64) -> Self {
-        Simulator::with_engine(model, seed, Engine::default())
-    }
-
-    /// Creates a simulator on an explicit [`Engine`].
-    #[must_use]
-    pub fn with_engine(model: &'m SanModel, seed: u64, engine: Engine) -> Self {
-        Simulator::with_state(model, seed, engine, SimState::new(model))
+        Simulator::with_state(model, seed, SimState::new(model))
     }
 
     /// Creates a simulator that recycles `state` — the workspace-reuse
     /// entry point for replication loops. The state is [`reset`] for
     /// `model`, so trajectories are bit-identical to a simulator built
-    /// by [`Simulator::with_engine`]; only the allocations differ.
-    /// Reclaim the state with [`Simulator::into_state`] when the
-    /// replication is done.
+    /// by [`Simulator::new`]; only the allocations differ. Reclaim the
+    /// state with [`Simulator::into_state`] when the replication is
+    /// done.
     ///
     /// [`reset`]: SimState::reset
     #[must_use]
-    pub fn with_state(model: &'m SanModel, seed: u64, engine: Engine, mut state: SimState) -> Self {
+    pub fn with_state(model: &'m SanModel, seed: u64, mut state: SimState) -> Self {
         state.reset(model);
         let mut sim = Simulator {
             model,
@@ -232,11 +167,9 @@ impl<'m> Simulator<'m> {
             instant_rng: RngStream::new(seed, StreamId(STREAM_INSTANT)),
             firings: 0,
             error: None,
-            engine,
         };
-        sim.refresh_all_instant();
         sim.settle_instantaneous(&mut crate::reward::NullObserver);
-        sim.reconcile_schedules(None);
+        sim.reconcile_schedules();
         sim
     }
 
@@ -245,12 +178,6 @@ impl<'m> Simulator<'m> {
     #[must_use]
     pub fn into_state(self) -> SimState {
         self.st
-    }
-
-    /// The engine this simulator runs on.
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The current marking.
@@ -300,19 +227,7 @@ impl<'m> Simulator<'m> {
                 self.now = horizon;
                 break;
             }
-            let (time, activity) = self.st.calendar.pop().expect("peeked event exists");
-            self.now = time;
-            self.st.scheduled[activity.index()] = None;
-            // The schedule reconciliation cancels stale events, so a popped
-            // event is enabled unless a same-instant earlier firing just
-            // disabled it — re-check for safety.
-            if !self.model.is_enabled(activity, &self.st.marking) {
-                self.reconcile_schedules(Some(activity.index()));
-                continue;
-            }
-            self.fire(activity, observer);
-            self.settle_instantaneous(observer);
-            self.reconcile_schedules(Some(activity.index()));
+            self.step(observer);
             observer.on_marking(self.now, &self.st.marking);
         }
         observer.on_end(self.now, &self.st.marking);
@@ -334,16 +249,7 @@ impl<'m> Simulator<'m> {
                 self.now = horizon;
                 return None;
             }
-            let (time, activity) = self.st.calendar.pop().expect("peeked event exists");
-            self.now = time;
-            self.st.scheduled[activity.index()] = None;
-            if !self.model.is_enabled(activity, &self.st.marking) {
-                self.reconcile_schedules(Some(activity.index()));
-                continue;
-            }
-            self.fire(activity, &mut crate::reward::NullObserver);
-            self.settle_instantaneous(&mut crate::reward::NullObserver);
-            self.reconcile_schedules(Some(activity.index()));
+            self.step(&mut crate::reward::NullObserver);
             if pred(&self.st.marking) {
                 return Some(self.now);
             }
@@ -351,12 +257,25 @@ impl<'m> Simulator<'m> {
         None
     }
 
+    /// Fires the calendar's earliest event, settles the instantaneous
+    /// cascade it starts and reconciles the timed schedule.
+    fn step(&mut self, observer: &mut dyn Observer) {
+        let (time, activity) = self.st.calendar.pop().expect("peeked event exists");
+        self.now = time;
+        self.st.scheduled[activity.index()] = None;
+        // Every event ends with a reconciliation, so the calendar only
+        // ever holds activities enabled in the current marking.
+        debug_assert!(self.model.is_enabled(activity, &self.st.marking));
+        self.fire(activity, observer);
+        self.settle_instantaneous(observer);
+        self.reconcile_schedules();
+    }
+
     /// Fires one activity: consume inputs, apply gates, select a case,
     /// apply outputs. Allocation-free: case weights come from the model's
-    /// precomputed table and touched-place bookkeeping reuses scratch.
+    /// precomputed table.
     fn fire(&mut self, activity: ActivityId, observer: &mut dyn Observer) {
-        let model = self.model;
-        let a = model.activity(activity);
+        let a = self.model.activity(activity);
         for &(p, n) in &a.input_arcs {
             self.st.marking.remove_tokens(p, n);
         }
@@ -376,69 +295,27 @@ impl<'m> Simulator<'m> {
             (g.effect)(&mut self.st.marking);
         }
         self.firings += 1;
-        if self.engine == Engine::Incremental {
-            self.record_fire_effects(activity, case_idx);
-        }
         observer.on_fire(self.now, activity, case_idx, &self.st.marking);
     }
 
-    /// Incremental bookkeeping after a firing: accumulate the written
-    /// places for the next schedule reconciliation and refresh the
-    /// enablement flags of the instantaneous activities that read them.
-    fn record_fire_effects(&mut self, activity: ActivityId, case_idx: usize) {
-        let model = self.model;
-        if model.index.writes_unknown[activity.index()] {
-            self.st.touched_all = true;
-            self.refresh_all_instant();
-            return;
-        }
-        for &p in &model.index.touched[activity.index()][case_idx] {
-            let pi = p.index();
-            if self.st.place_stamp[pi] != self.st.stamp_gen {
-                self.st.place_stamp[pi] = self.st.stamp_gen;
-                self.st.touched_places.push(pi);
-            }
-            for &a in &model.index.instant_dependents[pi] {
-                self.st.instant_enabled[a.index()] = model.is_enabled(a, &self.st.marking);
-            }
-        }
-        for &a in &model.index.global_instant {
-            self.st.instant_enabled[a.index()] = model.is_enabled(a, &self.st.marking);
-        }
-    }
-
-    /// Recomputes every instantaneous activity's enablement flag.
-    fn refresh_all_instant(&mut self) {
-        let model = self.model;
-        for &a in &model.index.instantaneous {
-            self.st.instant_enabled[a.index()] = model.is_enabled(a, &self.st.marking);
-        }
-    }
-
     /// Fires enabled instantaneous activities until none remain (or the
-    /// livelock limit trips).
+    /// livelock limit trips). Each step scans the activities in index
+    /// order into the reused `enabled`/`weights` scratch.
     fn settle_instantaneous(&mut self, observer: &mut dyn Observer) {
-        match self.engine {
-            Engine::Incremental => self.settle_incremental(observer),
-            Engine::FullRescan => self.settle_full(observer),
-        }
-    }
-
-    fn settle_incremental(&mut self, observer: &mut dyn Observer) {
         let model = self.model;
         let mut count = 0u32;
         loop {
-            // The maintained flags make each cascade step O(instantaneous
-            // activities) instead of O(all activities); index order is
-            // preserved so weighted selection draws match the reference
-            // engine exactly.
-            self.st.enabled_buf.clear();
-            for &a in &model.index.instantaneous {
-                if self.st.instant_enabled[a.index()] {
-                    self.st.enabled_buf.push(a.index());
+            self.st.enabled.clear();
+            self.st.weights.clear();
+            for (idx, a) in model.activities.iter().enumerate() {
+                if let ActivityTiming::Instantaneous { weight } = a.timing {
+                    if model.is_enabled(ActivityId(idx), &self.st.marking) {
+                        self.st.enabled.push(idx);
+                        self.st.weights.push(weight);
+                    }
                 }
             }
-            if self.st.enabled_buf.is_empty() {
+            if self.st.enabled.is_empty() {
                 return;
             }
             count += 1;
@@ -448,148 +325,42 @@ impl<'m> Simulator<'m> {
                 });
                 return;
             }
-            let chosen = if self.st.enabled_buf.len() == 1 {
-                self.st.enabled_buf[0]
+            let pick = if self.st.enabled.len() == 1 {
+                0
             } else {
-                self.st.weights_buf.clear();
-                for &i in &self.st.enabled_buf {
-                    self.st.weights_buf.push(
-                        model
-                            .activity(ActivityId(i))
-                            .instantaneous_weight()
-                            .expect("enabled_buf holds instantaneous activities"),
-                    );
-                }
-                self.st.enabled_buf[self.instant_rng.discrete(&self.st.weights_buf)]
+                self.instant_rng.discrete(&self.st.weights)
             };
-            self.fire(ActivityId(chosen), observer);
-        }
-    }
-
-    fn settle_full(&mut self, observer: &mut dyn Observer) {
-        let mut count = 0u32;
-        loop {
-            let enabled: Vec<ActivityId> = (0..self.model.activity_count())
-                .map(ActivityId)
-                .filter(|&id| {
-                    self.model.activity(id).is_instantaneous()
-                        && self.model.is_enabled(id, &self.st.marking)
-                })
-                .collect();
-            if enabled.is_empty() {
-                return;
-            }
-            count += 1;
-            if count > INSTANTANEOUS_LIMIT {
-                self.error = Some(SanError::InstantaneousLivelock {
-                    limit: INSTANTANEOUS_LIMIT,
-                });
-                return;
-            }
-            let chosen = if enabled.len() == 1 {
-                enabled[0]
-            } else {
-                let weights: Vec<f64> = enabled
-                    .iter()
-                    .map(|&id| match self.model.activity(id).timing {
-                        ActivityTiming::Instantaneous { weight } => weight,
-                        ActivityTiming::Timed(_) => unreachable!("filtered to instantaneous"),
-                    })
-                    .collect();
-                enabled[self.instant_rng.discrete(&weights)]
-            };
-            self.fire(chosen, observer);
+            self.fire(ActivityId(self.st.enabled[pick]), observer);
         }
     }
 
     /// Brings the timed-activity schedule in line with the current
-    /// marking: cancel disabled, sample newly enabled. `fired` is the
-    /// timed activity that was just popped from the calendar (its slot
-    /// was cleared, so it must be re-checked even if its own inputs were
-    /// untouched).
-    fn reconcile_schedules(&mut self, fired: Option<usize>) {
-        match self.engine {
-            Engine::FullRescan => self.reconcile_full(),
-            Engine::Incremental => self.reconcile_incremental(fired),
-        }
-    }
-
-    fn reconcile_incremental(&mut self, fired: Option<usize>) {
-        if self.st.touched_all {
-            self.reconcile_full();
-            self.end_cycle();
-            return;
-        }
+    /// marking, in activity-index order: cancel the disabled, sample the
+    /// newly enabled.
+    fn reconcile_schedules(&mut self) {
         let model = self.model;
-        debug_assert!(self.st.affected.is_empty());
-        if let Some(idx) = fired {
-            self.mark_affected(idx);
-        }
-        for ti in 0..self.st.touched_places.len() {
-            let p = self.st.touched_places[ti];
-            for &a in &model.index.timed_dependents[p] {
-                self.mark_affected(a.index());
+        for (idx, a) in model.activities.iter().enumerate() {
+            let ActivityTiming::Timed(dist) = &a.timing else {
+                continue;
+            };
+            let id = ActivityId(idx);
+            let enabled = model.is_enabled(id, &self.st.marking);
+            match (enabled, self.st.scheduled[idx]) {
+                (true, None) => {
+                    let delay = dist.sample(&mut self.delay_rng);
+                    let token = self
+                        .st
+                        .calendar
+                        .push(self.now + SimTime::from_secs(delay), id);
+                    self.st.scheduled[idx] = Some(token);
+                }
+                (false, Some(token)) => {
+                    self.st.calendar.cancel(token);
+                    self.st.scheduled[idx] = None;
+                }
+                _ => {}
             }
         }
-        for &a in &model.index.global_timed {
-            self.mark_affected(a.index());
-        }
-        // Activity-index order keeps the delay-RNG draw schedule identical
-        // to the full-rescan engine: the set of activities that transition
-        // to "newly enabled" is the same, and both engines sample them in
-        // ascending index order.
-        self.st.affected.sort_unstable();
-        for ai in 0..self.st.affected.len() {
-            self.reconcile_one(self.st.affected[ai]);
-        }
-        self.end_cycle();
-    }
-
-    fn reconcile_full(&mut self) {
-        for idx in 0..self.model.activity_count() {
-            self.reconcile_one(idx);
-        }
-    }
-
-    fn reconcile_one(&mut self, idx: usize) {
-        let model = self.model;
-        let id = ActivityId(idx);
-        let a = model.activity(id);
-        let ActivityTiming::Timed(dist) = &a.timing else {
-            return;
-        };
-        let enabled = model.is_enabled(id, &self.st.marking);
-        match (enabled, self.st.scheduled[idx]) {
-            (true, None) => {
-                let delay = dist.sample(&mut self.delay_rng);
-                let token = self
-                    .st
-                    .calendar
-                    .push(self.now + SimTime::from_secs(delay), id);
-                self.st.scheduled[idx] = Some(token);
-            }
-            (false, Some(token)) => {
-                self.st.calendar.cancel(token);
-                self.st.scheduled[idx] = None;
-            }
-            _ => {}
-        }
-    }
-
-    fn mark_affected(&mut self, idx: usize) {
-        if self.st.act_stamp[idx] != self.st.stamp_gen {
-            self.st.act_stamp[idx] = self.st.stamp_gen;
-            self.st.affected.push(idx);
-        }
-    }
-
-    /// Resets the per-cycle accumulation after a reconciliation. Bumping
-    /// the generation invalidates all stamps in O(1).
-    fn end_cycle(&mut self) {
-        self.st.touched_places.clear();
-        self.st.affected.clear();
-        self.st.touched_all = false;
-        self.st.stamp_gen += 1;
     }
 }
 
@@ -788,142 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn declared_gate_effects_apply_on_fire() {
-        // Same drain model, with declared read/write sets: the incremental
-        // engine must handle it without conservative fallbacks.
-        let mut b = SanBuilder::new();
-        let pool = b.place("pool", 7);
-        let done = b.place("done", 0);
-        b.timed_activity("drain", FiringDistribution::Deterministic { delay: 1.0 })
-            .input_gate_declared(
-                vec![pool],
-                vec![pool],
-                move |m| m.tokens(pool) > 0,
-                move |m| m.set_tokens(pool, 0),
-            )
-            .output_arc(done, 1)
-            .build();
-        let model = b.build().unwrap();
-        let drain = model.activity_by_name("drain").unwrap();
-        assert!(!model.firing_writes_unknown(drain));
-        assert_eq!(model.timed_dependents_of(pool), &[drain]);
-        let mut sim = Simulator::new(&model, 1);
-        sim.run_until(SimTime::from_secs(10.0));
-        assert_eq!(sim.marking().tokens(pool), 0);
-        assert_eq!(sim.marking().tokens(done), 1);
-    }
-
-    /// Records `(time, activity, case)` per firing plus final state.
-    #[derive(Default)]
-    struct Trace {
-        events: Vec<(SimTime, usize, usize)>,
-    }
-
-    impl Observer for Trace {
-        fn on_fire(&mut self, now: SimTime, activity: ActivityId, case: usize, _m: &Marking) {
-            self.events.push((now, activity.index(), case));
-        }
-    }
-
-    /// `(events, final marking, firings, errored)`.
-    type Trajectory = (Vec<(SimTime, usize, usize)>, Vec<u32>, u64, bool);
-
-    fn trajectory(model: &SanModel, seed: u64, engine: Engine) -> Trajectory {
-        let mut sim = Simulator::with_engine(model, seed, engine);
-        let mut trace = Trace::default();
-        sim.run_until_observed(SimTime::from_secs(500.0), &mut trace);
-        (
-            trace.events,
-            sim.marking().as_slice().to_vec(),
-            sim.firings(),
-            sim.error().is_some(),
-        )
-    }
-
-    fn assert_engines_agree(model: &SanModel, seeds: std::ops::Range<u64>) {
-        for seed in seeds {
-            let inc = trajectory(model, seed, Engine::Incremental);
-            let full = trajectory(model, seed, Engine::FullRescan);
-            assert_eq!(inc, full, "trajectories diverged at seed {seed}");
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_races_and_cases() {
-        let mut b = SanBuilder::new();
-        let src = b.place("src", 2);
-        let a = b.place("a", 0);
-        let c = b.place("c", 0);
-        b.timed_activity("f", FiringDistribution::Exponential { rate: 3.0 })
-            .input_arc(src, 1)
-            .case(0.6, vec![(a, 1), (src, 1)])
-            .case(0.4, vec![(c, 1)])
-            .build();
-        b.timed_activity("s", FiringDistribution::Exponential { rate: 1.0 })
-            .input_arc(src, 1)
-            .output_arc(c, 1)
-            .output_arc(src, 1)
-            .build();
-        b.timed_activity("refill", FiringDistribution::Uniform { lo: 0.5, hi: 2.0 })
-            .input_arc(c, 2)
-            .output_arc(src, 1)
-            .build();
-        let model = b.build().unwrap();
-        assert_engines_agree(&model, 0..25);
-    }
-
-    #[test]
-    fn engines_agree_with_instantaneous_cascades() {
-        let mut b = SanBuilder::new();
-        let fuel = b.place("fuel", 30);
-        let stage = b.place("stage", 0);
-        let out_a = b.place("out_a", 0);
-        let out_b = b.place("out_b", 0);
-        b.timed_activity("pump", FiringDistribution::Exponential { rate: 2.0 })
-            .input_arc(fuel, 1)
-            .output_arc(stage, 1)
-            .build();
-        b.instantaneous_activity("route_a")
-            .input_arc(stage, 1)
-            .output_arc(out_a, 1)
-            .build();
-        b.instantaneous_activity("route_b")
-            .input_arc(stage, 1)
-            .output_arc(out_b, 1)
-            .build();
-        let model = b.build().unwrap();
-        assert_engines_agree(&model, 0..25);
-    }
-
-    #[test]
-    fn engines_agree_with_undeclared_gates() {
-        // Undeclared gate reads/writes force the conservative path: the
-        // incremental engine must still match the reference exactly.
-        let mut b = SanBuilder::new();
-        let pool = b.place("pool", 5);
-        let busy = b.place("busy", 0);
-        let done = b.place("done", 0);
-        b.timed_activity("grab", FiringDistribution::Exponential { rate: 1.5 })
-            .input_gate(
-                move |m| m.tokens(pool) > 0 && m.tokens(busy) == 0,
-                move |m| {
-                    m.remove_tokens(pool, 1);
-                    m.add_tokens(busy, 1);
-                },
-            )
-            .build();
-        b.timed_activity("finish", FiringDistribution::Exponential { rate: 4.0 })
-            .input_arc(busy, 1)
-            .output_arc(done, 1)
-            .build();
-        let model = b.build().unwrap();
-        assert_engines_agree(&model, 0..25);
-    }
-
-    #[test]
     fn source_activity_without_inputs_keeps_firing() {
-        // An always-enabled timed source has an empty read-set: the fired
-        // activity itself must still be rescheduled after each firing.
+        // An always-enabled timed source: the fired activity itself must
+        // be rescheduled after each firing.
         let mut b = SanBuilder::new();
         let sink = b.place("sink", 0);
         b.timed_activity("tick", FiringDistribution::Deterministic { delay: 1.0 })

@@ -6,7 +6,7 @@
 use crate::error::SanError;
 use crate::model::{ActivityId, Marking, SanModel};
 use crate::reward::{FirstPassage, ImpulseReward, Observer, RateReward};
-use crate::sim::{Engine, SimState, Simulator};
+use crate::sim::{SimState, Simulator};
 use diversify_des::{derive_seed, SimTime, StreamId};
 use diversify_stats::StreamingSummary;
 use std::sync::Arc;
@@ -274,7 +274,7 @@ impl TransientSolver {
         for rep in 0..self.replications {
             let seed = derive_seed(self.master_seed, StreamId(0x7A_0000 + u64::from(rep)));
             tracker.reset();
-            let mut sim = Simulator::with_state(model, seed, Engine::default(), state);
+            let mut sim = Simulator::with_state(model, seed, state);
             sim.run_until_observed(self.horizon, &mut tracker);
             state = sim.into_state();
             tracker.collect_into(&mut values);

@@ -293,11 +293,8 @@ impl Resolver<'_> {
         let model = self.model;
         let key = marking.as_slice().to_vec();
         let enabled: Vec<ActivityId> = model
-            .index
-            .instantaneous
-            .iter()
-            .copied()
-            .filter(|&a| model.is_enabled(a, &marking))
+            .activity_ids()
+            .filter(|&a| model.activity(a).is_instantaneous() && model.is_enabled(a, &marking))
             .collect();
         if enabled.is_empty() {
             let done = Rc::new(vec![Branch {

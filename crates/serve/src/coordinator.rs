@@ -180,12 +180,21 @@ struct Task {
 enum SlotState {
     Idle,
     Busy { task: Box<Task>, lease: Instant },
-    Dead,
 }
 
 struct WorkerSlot {
     channel: Box<dyn Channel>,
     state: SlotState,
+}
+
+/// Declares the worker in `entry` dead. Dropping its slot closes the
+/// channel, so the worker sees the link close and exits instead of
+/// polling a link nobody reads. Returns the shard the worker held.
+fn declare_dead(entry: &mut Option<WorkerSlot>) -> Option<Box<Task>> {
+    match entry.take()?.state {
+        SlotState::Busy { task, .. } => Some(task),
+        SlotState::Idle => None,
+    }
 }
 
 /// Why a sweep is winding down early.
@@ -198,7 +207,8 @@ enum WindDown {
 /// The sharded-sweep supervisor. See the module docs for the
 /// supervision model.
 pub struct Coordinator {
-    workers: Vec<WorkerSlot>,
+    /// One slot per worker; `None` once the worker is declared dead.
+    workers: Vec<Option<WorkerSlot>>,
     options: SweepOptions,
 }
 
@@ -209,9 +219,11 @@ impl Coordinator {
         Coordinator {
             workers: channels
                 .into_iter()
-                .map(|channel| WorkerSlot {
-                    channel,
-                    state: SlotState::Idle,
+                .map(|channel| {
+                    Some(WorkerSlot {
+                        channel,
+                        state: SlotState::Idle,
+                    })
                 })
                 .collect(),
             options,
@@ -221,20 +233,15 @@ impl Coordinator {
     /// Workers not yet declared dead.
     #[must_use]
     pub fn live_workers(&self) -> usize {
-        self.workers
-            .iter()
-            .filter(|w| !matches!(w.state, SlotState::Dead))
-            .count()
+        self.workers.iter().flatten().count()
     }
 
     /// Tells every live worker to drain and exit. Called on drop too;
     /// explicit calls just make shutdown observable.
     pub fn shutdown(&mut self) {
         let frame = encode_message(&ToWorker::Shutdown);
-        for slot in &mut self.workers {
-            if !matches!(slot.state, SlotState::Dead) {
-                let _ = slot.channel.send(&frame);
-            }
+        for slot in self.workers.iter_mut().flatten() {
+            let _ = slot.channel.send(&frame);
         }
     }
 
@@ -277,7 +284,7 @@ impl Coordinator {
                         WindDown::DeadlineExpired
                     });
                     drain_deadline = now + self.options.drain_grace;
-                    for slot in &mut self.workers {
+                    for slot in self.workers.iter_mut().flatten() {
                         if let SlotState::Busy { task, .. } = &slot.state {
                             let frame = encode_message(&ToWorker::Cancel {
                                 shard: task.spec.shard,
@@ -308,6 +315,7 @@ impl Coordinator {
             let busy = self
                 .workers
                 .iter()
+                .flatten()
                 .filter(|w| matches!(w.state, SlotState::Busy { .. }))
                 .count();
             if pending.is_empty() && busy == 0 {
@@ -324,7 +332,7 @@ impl Coordinator {
 
         // Any shard still leased when the loop broke (drain deadline)
         // resolves to the wind-down state.
-        for slot in &mut self.workers {
+        for slot in self.workers.iter_mut().flatten() {
             if !matches!(slot.state, SlotState::Busy { .. }) {
                 continue;
             }
@@ -348,7 +356,10 @@ impl Coordinator {
 
     /// Deals ready pending tasks to idle live workers.
     fn assign_ready(&mut self, pending: &mut VecDeque<Task>, now: Instant) {
-        for slot in &mut self.workers {
+        for entry in &mut self.workers {
+            let Some(slot) = entry else {
+                continue;
+            };
             if !matches!(slot.state, SlotState::Idle) {
                 continue;
             }
@@ -369,7 +380,7 @@ impl Coordinator {
                     };
                 }
                 Err(e) => {
-                    slot.state = SlotState::Dead;
+                    declare_dead(entry);
                     pending.push_back(bounced(task, format!("send failed: {e}")));
                 }
             }
@@ -388,19 +399,17 @@ impl Coordinator {
         let heartbeat = self.options.heartbeat_timeout;
         let max_attempts = self.options.max_shard_attempts;
         let backoff = (self.options.backoff_base, self.options.backoff_cap);
-        for slot in &mut self.workers {
-            if matches!(slot.state, SlotState::Dead) {
+        for entry in &mut self.workers {
+            let Some(slot) = entry else {
                 continue;
-            }
+            };
             let frame = match slot.channel.recv_timeout(poll) {
                 Ok(Some(frame)) => frame,
                 Ok(None) => continue,
                 Err(e) => {
                     // Channel loss: the worker is gone; re-deal its
                     // lease.
-                    if let SlotState::Busy { task, .. } =
-                        std::mem::replace(&mut slot.state, SlotState::Dead)
-                    {
+                    if let Some(task) = declare_dead(entry) {
                         requeue(
                             pending,
                             health,
@@ -419,9 +428,7 @@ impl Coordinator {
                     // A frame that fails its checksum or schema means
                     // the transport is corrupting data; stop trusting
                     // this worker entirely.
-                    if let SlotState::Busy { task, .. } =
-                        std::mem::replace(&mut slot.state, SlotState::Dead)
-                    {
+                    if let Some(task) = declare_dead(entry) {
                         requeue(
                             pending,
                             health,
@@ -493,7 +500,10 @@ impl Coordinator {
         let now = Instant::now();
         let max_attempts = self.options.max_shard_attempts;
         let backoff = (self.options.backoff_base, self.options.backoff_cap);
-        for slot in &mut self.workers {
+        for entry in &mut self.workers {
+            let Some(slot) = entry else {
+                continue;
+            };
             let SlotState::Busy { lease, task } = &slot.state else {
                 continue;
             };
@@ -504,9 +514,7 @@ impl Coordinator {
                 shard: task.spec.shard,
             });
             let _ = slot.channel.send(&cancel_frame);
-            if let SlotState::Busy { task, .. } =
-                std::mem::replace(&mut slot.state, SlotState::Dead)
-            {
+            if let Some(task) = declare_dead(entry) {
                 requeue(
                     pending,
                     health,
@@ -838,14 +846,26 @@ mod tests {
         let (coordinator_side, worker_side) = loopback_pair();
         let worker_side = worker_side.with_send_faults(chaos);
         let corrupt_options = WorkerOptions::default();
-        std::thread::spawn(move || run_worker(worker_side, &corrupt_options));
+        let dethroned = std::thread::spawn(move || run_worker(worker_side, &corrupt_options));
         let (mut channels, _handles) = spawn_workers(vec![WorkerOptions::default()]);
         channels.insert(0, Box::new(coordinator_side));
         let mut coordinator = Coordinator::new(channels, sweep_options());
         let report = coordinator.run_sweep(vec![shard(0, 0, 3)]);
         assert!(!report.is_degraded(), "health: {:?}", report.health);
+        assert_eq!(coordinator.live_workers(), 1);
         let merged = report.merge_cell(0).unwrap();
         assert_identical(&merged, &reference(3));
+        // Declaring the worker dead closed its channel, so it exits
+        // while the coordinator is still alive.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !dethroned.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "the dethroned worker still runs 10 s after the sweep"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        dethroned.join().unwrap();
     }
 
     #[test]

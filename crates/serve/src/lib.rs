@@ -22,6 +22,6 @@ pub use channel::{loopback_pair, Channel, ChannelError, LoopbackChannel, TcpChan
 pub use coordinator::{Coordinator, ShardHealth, ShardState, SweepOptions, SweepReport};
 pub use protocol::{BatchSnapshot, ShardOutcome, ShardSpec};
 pub use service::{
-    DoeSweep, IndicatorRequest, IndicatorResponse, IndicatorService, PrecisionGoal, ServiceOptions,
+    IndicatorRequest, IndicatorResponse, IndicatorService, PrecisionGoal, ServiceOptions,
 };
 pub use worker::{run_worker, WorkerOptions};

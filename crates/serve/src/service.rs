@@ -26,15 +26,10 @@ use crate::protocol::{BatchSnapshot, BudgetSpec, PlanSpec, ShardSpec};
 use crate::worker::{run_worker, WorkerOptions};
 use diversify_attack::campaign::{CampaignConfig, ThreatModel};
 use diversify_core::exec::{MeasurementsAccum, CAMPAIGN_STREAM_NAMESPACE};
-use diversify_core::factors::{factor_profile, FactorLevel};
 use diversify_core::indicators::PrecisionResponse;
-use diversify_core::pipeline::PipelineConfig;
 use diversify_core::runner::Measurements;
 use diversify_core::ContentKey;
 use diversify_des::exec::Precision;
-use diversify_des::{derive_seed, StreamId};
-use diversify_doe::design::fractional_factorial;
-use diversify_scada::components::ComponentClass;
 use diversify_scada::scope::ScopeConfig;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
@@ -437,84 +432,6 @@ impl IndicatorService {
         }
         lock(&self.coordinator).run_sweep(shards)
     }
-
-    /// Measures every design point of the pipeline's built-in 2^(6-2)
-    /// fractional-factorial sweep through the sharded service,
-    /// bit-identically to
-    /// [`Pipeline::try_doe_measurements`](diversify_core::pipeline::Pipeline::try_doe_measurements)
-    /// on the fixed-budget path (the config's precision / rare-event /
-    /// resilience options are measurement-*strategy* options and do not
-    /// apply to a sharded fixed sweep). Duplicate design points are
-    /// deduplicated by content key, exactly like the pipeline.
-    #[must_use]
-    pub fn sweep_doe(&self, config: &PipelineConfig) -> DoeSweep {
-        let labels: Vec<&str> = ComponentClass::ALL.iter().map(|c| c.label()).collect();
-        // The built-in 2^(6-2) design is statically valid.
-        #[allow(clippy::disallowed_methods)]
-        let (design, _words) = fractional_factorial(&labels, &[vec![0, 1, 2], vec![1, 2, 3]])
-            .expect("built-in 2^(6-2) design is valid");
-
-        let mut specs = Vec::new();
-        let mut alias = Vec::with_capacity(design.rows.len());
-        let mut seen: HashMap<ContentKey, usize> = HashMap::with_capacity(design.rows.len());
-        let step = self.options.batches_per_shard.max(1);
-        let mut shard_id = 0u32;
-        for (run_idx, row) in design.rows.iter().enumerate() {
-            let levels: Vec<FactorLevel> =
-                row.iter().map(|&l| FactorLevel::from_coded(l)).collect();
-            let mut scope = config.scope.clone();
-            scope.baseline_profile = factor_profile(&levels);
-            let key = ContentKey::of(&Value::Array(vec![
-                scope.to_json_value(),
-                config.threat.to_json_value(),
-                config.campaign.to_json_value(),
-            ]));
-            if let Some(&first) = seen.get(&key) {
-                alias.push(first);
-                continue;
-            }
-            seen.insert(key, run_idx);
-            alias.push(run_idx);
-            // The pipeline gives run `i` the sub-plan derived from its
-            // index; shards reproduce that master seed so the schedule
-            // is bit-identical.
-            let master_seed = derive_seed(config.seed, StreamId(run_idx as u64));
-            let mut start = 0u32;
-            while start < config.batches {
-                let batches = step.min(config.batches - start);
-                specs.push(ShardSpec {
-                    cell: run_idx as u32,
-                    shard: shard_id,
-                    scope: scope.clone(),
-                    threat: config.threat.clone(),
-                    campaign: config.campaign,
-                    plan: PlanSpec {
-                        batches,
-                        batch_size: config.batch_size,
-                        master_seed,
-                        namespace: CAMPAIGN_STREAM_NAMESPACE,
-                        first_batch: start,
-                    },
-                    budget: self.options.budget,
-                });
-                shard_id += 1;
-                start += batches;
-            }
-        }
-
-        let report = lock(&self.coordinator).run_sweep(specs);
-        let cells = alias
-            .iter()
-            .map(|&rep| report.merge_cell(rep as u32))
-            .collect();
-        DoeSweep {
-            cells,
-            degraded: report.is_degraded(),
-            cancelled: report.cancelled,
-            deadline_expired: report.deadline_expired,
-            health: report.health,
-        }
-    }
 }
 
 impl Drop for IndicatorService {
@@ -526,30 +443,11 @@ impl Drop for IndicatorService {
     }
 }
 
-/// A DoE sweep served by the service: per-design-run measurements (in
-/// design order, duplicates shared) plus sweep health.
-#[derive(Debug, Clone)]
-pub struct DoeSweep {
-    /// One entry per design run; `None` where no batch of the cell
-    /// completed. Under degradation a cell's measurements may cover
-    /// fewer batches than requested — consult `health`.
-    pub cells: Vec<Option<Measurements>>,
-    /// Whether any shard failed to complete.
-    pub degraded: bool,
-    /// Whether the sweep was cancelled mid-flight.
-    pub cancelled: bool,
-    /// Whether the sweep deadline expired mid-flight.
-    pub deadline_expired: bool,
-    /// Per-shard terminal states.
-    pub health: Vec<ShardHealth>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use diversify_attack::campaign::CampaignSimulator;
     use diversify_core::exec::{campaign_plan, MeasurementsCollector};
-    use diversify_core::pipeline::Pipeline;
     use diversify_des::exec::{Executor, RetryPolicy};
     use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan};
     use diversify_scada::scope::ScopeSystem;
@@ -750,23 +648,44 @@ mod tests {
     }
 
     #[test]
-    fn sweep_doe_is_bit_identical_to_the_pipeline() {
-        let config = PipelineConfig {
-            batches: 2,
-            batch_size: 2,
-            campaign: CAMPAIGN,
-            seed: SEED,
-            ..PipelineConfig::default()
-        };
-        let local = Pipeline::new(config.clone())
-            .try_doe_measurements()
-            .unwrap();
-        let service = IndicatorService::in_process(3, service_options());
-        let sweep = service.sweep_doe(&config);
-        assert!(!sweep.degraded);
-        assert_eq!(sweep.cells.len(), local.measurements.len());
-        for (served, local) in sweep.cells.iter().zip(&local.measurements) {
-            assert_identical(served.as_ref().unwrap(), local);
-        }
+    fn dropping_the_service_returns_after_a_worker_is_declared_dead() {
+        // Worker 0 heartbeats once a second and sleeps 300 ms in
+        // replication 0, so its 250 ms lease expires: the coordinator
+        // declares it dead and worker 1 runs both shards. Dropping the
+        // service must still join every worker thread.
+        let faults =
+            Arc::new(FaultPlan::none(6).with_fault(0, FaultKind::Slow { micros: 300_000 }));
+        let mut options = service_options();
+        options.sweep.heartbeat_timeout = Duration::from_millis(250);
+        let service = IndicatorService::in_process_with(
+            2,
+            |i| {
+                if i == 0 {
+                    WorkerOptions {
+                        heartbeat_every: Duration::from_secs(1),
+                        faults: Some(Arc::clone(&faults)),
+                        ..WorkerOptions::default()
+                    }
+                } else {
+                    WorkerOptions::default()
+                }
+            },
+            options,
+        );
+        let response = service.request(&request(2));
+        assert!(!response.degraded, "health: {:?}", response.health);
+        assert_eq!(service.live_workers(), 1);
+        assert_identical(response.measurements.as_ref().unwrap(), &reference(2));
+
+        let (dropped, done) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(service);
+            let _ = dropped.send(());
+        });
+        assert!(
+            done.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "dropping the service still blocks 10 s after a worker was declared dead"
+        );
+        dropper.join().unwrap();
     }
 }

@@ -158,10 +158,18 @@ fn run_shard_supervised(
     let shard = spec.shard;
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| execute_shard(&spec, options, &cancel));
-        loop {
-            channel.send(&encode_message(&FromWorker::Heartbeat { shard }))?;
+        let lost = loop {
+            if let Err(e) = channel.send(&encode_message(&FromWorker::Heartbeat { shard })) {
+                break e;
+            }
             if handle.is_finished() {
-                break;
+                return match handle.join() {
+                    Ok(outcome) => Ok(FromWorker::Done { outcome }),
+                    Err(payload) => Ok(FromWorker::Failed {
+                        shard,
+                        message: panic_message(payload.as_ref()),
+                    }),
+                };
             }
             match channel.recv_timeout(options.heartbeat_every) {
                 Ok(Some(frame)) => match decode_message::<ToWorker>(&frame) {
@@ -176,22 +184,14 @@ fn run_shard_supervised(
                     Ok(ToWorker::Run { .. }) | Ok(ToWorker::Cancel { .. }) | Err(_) => {}
                 },
                 Ok(None) => {}
-                Err(_) => {
-                    // Coordinator gone: stop the shard and bail. The
-                    // join below still reaps the thread.
-                    cancel.cancel();
-                    let _ = handle.join();
-                    return Err(ChannelError::Closed);
-                }
+                Err(e) => break e,
             }
-        }
-        match handle.join() {
-            Ok(outcome) => Ok(FromWorker::Done { outcome }),
-            Err(payload) => Ok(FromWorker::Failed {
-                shard,
-                message: panic_message(payload.as_ref()),
-            }),
-        }
+        };
+        // Coordinator gone (or it declared this worker dead and closed
+        // the link): stop the shard at its next batch boundary; the
+        // scope reaps its thread before returning.
+        cancel.cancel();
+        Err(lost)
     })
 }
 

@@ -99,7 +99,7 @@ fn mini_campaign() -> (SanModel, [PlaceId; 4]) {
         .build();
     b.timed_activity("hop", FiringDistribution::Exponential { rate: 0.5 })
         .input_arc(clean_plc, 1)
-        .guard_reading(vec![inf_entry], move |m| m.tokens(inf_entry) > 0)
+        .guard(move |m| m.tokens(inf_entry) > 0)
         .case(0.7, vec![(inf_plc, 1)])
         .case(0.3, vec![(clean_plc, 1)])
         .build();
@@ -107,12 +107,10 @@ fn mini_campaign() -> (SanModel, [PlaceId; 4]) {
         .input_arc(inf_plc, 1)
         .output_arc(inf_plc, 1)
         .output_arc(impaired, 1)
-        .guard_reading(vec![impaired], move |m| m.tokens(impaired) == 0)
+        .guard(move |m| m.tokens(impaired) == 0)
         .build();
     b.timed_activity("detect", FiringDistribution::Exponential { rate: 0.15 })
-        .guard_reading(vec![inf_entry, detected], move |m| {
-            m.tokens(inf_entry) > 0 && m.tokens(detected) == 0
-        })
+        .guard(move |m| m.tokens(inf_entry) > 0 && m.tokens(detected) == 0)
         .output_arc(detected, 1)
         .build();
     let model = b.build().unwrap();
@@ -322,7 +320,7 @@ fn build_from_spec(initial: &[u32], acts: &[SpecAct], order: &[usize]) -> SanMod
                     .input_arc(places[*src], 1);
                 if let Some((gp, lim)) = *guard {
                     let gpid = places[gp];
-                    ab = ab.guard_reading(vec![gpid], move |m| m.tokens(gpid) <= lim);
+                    ab = ab.guard(move |m| m.tokens(gpid) <= lim);
                 }
                 for &(w, dst) in cases {
                     ab = ab.case(w, vec![(places[dst], 1)]);

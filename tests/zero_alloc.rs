@@ -15,8 +15,8 @@
 //!
 //! The loops under guard are the ones the tentpole made allocation-free:
 //! the campaign simulator driven through a reused
-//! [`CampaignWorkspace`], and the incremental SAN engine driven through
-//! a recycled [`SimState`].
+//! [`CampaignWorkspace`], and the SAN simulator driven through a
+//! recycled [`SimState`].
 
 // Test code: the unwrap/expect ban (clippy.toml) applies to the
 // non-test library code of diversify-des/diversify-core.
@@ -26,7 +26,7 @@ use diversify::attack::campaign::{
 };
 use diversify::attack::to_san::compile_network_campaign;
 use diversify::des::SimTime;
-use diversify::san::{Engine, SimState, Simulator};
+use diversify::san::{FiringDistribution, SanBuilder, SanModel, SimState, Simulator};
 use diversify::scada::network::ScadaNetwork;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -174,38 +174,77 @@ fn fleet_build_does_not_allocate_per_node() {
     );
 }
 
-/// The incremental SAN engine on the mid-size SCoPE network-campaign
-/// model: recycling one `SimState` across replications, the second pass
-/// over the same seeds performs zero allocations — calendar slots,
-/// schedule, weight tables and dependency scratch are all reused.
+/// `grab` takes a pool token through an input gate, `finish` releases
+/// it through an output gate, and the instantaneous `recycle` turns
+/// three finished tokens back into two pool tokens mid-run.
+fn conservative_gate_model() -> SanModel {
+    let mut b = SanBuilder::new();
+    let pool = b.place("pool", 6);
+    let busy = b.place("busy", 0);
+    let done = b.place("done", 0);
+    b.timed_activity("grab", FiringDistribution::Exponential { rate: 2.0 })
+        .input_gate(
+            move |m| m.tokens(pool) > 0 && m.tokens(busy) < 2,
+            move |m| {
+                m.remove_tokens(pool, 1);
+                m.add_tokens(busy, 1);
+            },
+        )
+        .build();
+    b.timed_activity("finish", FiringDistribution::Exponential { rate: 3.0 })
+        .input_arc(busy, 1)
+        .output_gate(move |m| m.add_tokens(done, 1))
+        .build();
+    b.instantaneous_activity("recycle")
+        .input_arc(done, 3)
+        .output_arc(pool, 2)
+        .build();
+    b.build().unwrap()
+}
+
+/// The SAN simulator on the mid-size SCoPE network-campaign model and
+/// on the conservative-gate model, whose `recycle` cascades: recycling
+/// one `SimState` across replications, the second pass over the same
+/// seeds performs zero allocations — calendar slots, schedule,
+/// case-weight tables and the cascade's enabled/weight scratch are all
+/// reused.
 #[test]
-fn san_incremental_engine_is_allocation_free_after_warmup() {
+fn san_simulation_is_allocation_free_after_warmup() {
     let net = scope_network();
     let san = compile_network_campaign(&net, &ThreatModel::stuxnet_like())
         .expect("SCoPE network compiles");
+    let gates = conservative_gate_model();
     let horizon = SimTime::from_secs(2_000.0);
     let seeds: Vec<u64> = (1..=10).collect();
-    let mut state = SimState::new(&san.model);
-    let run_pass = |mut state: SimState, seeds: &[u64]| -> (SimState, u64) {
-        let mut events = 0u64;
-        for &seed in seeds {
-            let mut sim = Simulator::with_state(&san.model, seed, Engine::Incremental, state);
-            sim.run_until(horizon);
-            events += sim.firings();
-            state = sim.into_state();
-        }
-        (state, events)
-    };
-    let warm;
-    (state, warm) = run_pass(state, &seeds);
-    let before = allocations();
-    let (_state, again) = run_pass(state, &seeds);
-    let delta = allocations() - before;
-    assert_eq!(
-        delta, 0,
-        "incremental SAN engine allocated {delta} times across {warm}-event warm passes"
-    );
-    assert_eq!(warm, again, "identical seeds must replay identically");
+    for (name, model) in [
+        ("SCoPE campaign", &san.model),
+        ("conservative-gate", &gates),
+    ] {
+        let mut state = SimState::new(model);
+        let run_pass = |mut state: SimState, seeds: &[u64]| -> (SimState, u64) {
+            let mut events = 0u64;
+            for &seed in seeds {
+                let mut sim = Simulator::with_state(model, seed, state);
+                sim.run_until(horizon);
+                events += sim.firings();
+                state = sim.into_state();
+            }
+            (state, events)
+        };
+        let warm;
+        (state, warm) = run_pass(state, &seeds);
+        let before = allocations();
+        let (_state, again) = run_pass(state, &seeds);
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "{name} SAN allocated {delta} times across {warm}-event warm passes"
+        );
+        assert_eq!(
+            warm, again,
+            "{name}: identical seeds must replay identically"
+        );
+    }
 }
 
 /// The hardened executor path (panic isolation + budget checks wrapped
