@@ -365,7 +365,7 @@ fn note_left_clean(
 fn note_rooted(
     net: &ScadaNetwork,
     topo: &Topology,
-    payload_p: &[f64],
+    probs: &ProbTables,
     id: NodeId,
     states: &[NodeCompromise],
     compromised_nbrs: &[u32],
@@ -377,12 +377,12 @@ fn note_rooted(
     if (compromised_nbrs[i] as usize) < topo.degree(id) {
         frontier.insert(i);
     }
-    if payload_p[i] > 0.0 && states[i] != NodeCompromise::Reprogrammed {
+    if probs.class(i).payload > 0.0 && states[i] != NodeCompromise::Reprogrammed {
         eligible.insert(i);
     }
     for &nb in topo.neighbors(id) {
         let j = nb.index();
-        if payload_p[j] > 0.0 && states[j] != NodeCompromise::Reprogrammed {
+        if probs.class(j).payload > 0.0 && states[j] != NodeCompromise::Reprogrammed {
             eligible.insert(j);
         }
     }
@@ -566,43 +566,43 @@ fn merge_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// Per-source context hoisted out of the lateral inner loop: the
-/// source's wire dialect and security zone. Both are fixed for the
-/// whole sweep over a source's attempts, so hoisting changes no draw.
-#[derive(Debug, Clone, Copy)]
-struct SrcCtx {
-    dialect: ProtocolDialect,
-    zone: Zone,
-}
-
-/// Per-node probability tables the tick stepper reads, filled **once
-/// at simulator construction** (profiles cannot change while the
+/// The probability tables the tick stepper reads, filled **once at
+/// simulator construction** (profiles cannot change while the
 /// simulator borrows the network): each entry is the same pure `f64`
 /// catalog expression [`CampaignSimulator::run_reference`] evaluates
 /// per draw, so lookups are bit-identical to live computation. Filling
 /// per replication would cost O(nodes) against a tick loop that costs
 /// O(frontier) — at fleet scale the fill would dominate the
-/// replications it serves. The catalog itself runs once per node
-/// class, not once per node (see [`ProbTables::build`]).
+/// replications it serves.
+///
+/// Entries are stored once per node class (see [`node_class`]), and
+/// each node holds only the 2-byte index of its class: a generated
+/// fleet has 6 classes under monoculture and 72 under full rotation,
+/// so a 10^6-node fleet's tables take 2 MB where an entry per node
+/// would take 40 MB.
 #[derive(Debug)]
 struct ProbTables {
-    /// One packed entry per node: everything the lateral inner loop
-    /// asks about a destination lives on one cache line.
-    nodes: Vec<NodeProbs>,
+    /// Each node's index into `classes`.
+    class_of: Vec<u16>,
+    /// One entry per node class present in the network, in order of
+    /// first appearance.
+    classes: Vec<ClassProbs>,
     detection_quiet: f64,
     detection_active: f64,
 }
 
-/// One node's precomputed tick-loop constants, packed array-of-structs
-/// (32 bytes) so a single line fill serves the firewall, dialect, and
-/// infection questions the lateral loop asks about a destination
-/// back-to-back, instead of a [`ComponentProfile`] walk plus catalog
-/// arithmetic for each.
+/// One node class's precomputed tick-loop constants, packed so a single
+/// line fill serves the firewall, dialect, and infection questions the
+/// lateral loop asks about a destination back-to-back, instead of a
+/// [`ComponentProfile`] walk plus catalog arithmetic for each.
 #[derive(Debug, Clone, Copy)]
-struct NodeProbs {
+struct ClassProbs {
     infection: f64,
     escalation: f64,
     firewall_pass: f64,
+    /// PLC payload probability; zero for non-PLCs and for threats
+    /// without a PLC payload.
+    payload: f64,
     dialect: ProtocolDialect,
     /// Whether the node's role demands the wire dialect (PLC or field
     /// gateway destination).
@@ -611,13 +611,17 @@ struct NodeProbs {
 }
 
 /// Number of node classes: every combination of the attributes a
-/// [`NodeProbs`] entry and a payload probability read.
+/// [`ClassProbs`] entry reads.
 const NODE_CLASSES: usize = OsVariant::ALL.len()
     * ProtocolDialect::ALL.len()
     * FirewallPolicy::ALL.len()
     * PlcFirmware::ALL.len()
     * NodeRole::ALL.len()
     * Zone::ALL.len();
+
+// Class indexes are `u16`s, and `ProbTables::build` marks a class not
+// yet seen with `u16::MAX`, so every index must lie below it.
+const _: () = assert!(NODE_CLASSES <= u16::MAX as usize);
 
 /// A node's class: a direct index over the enum discriminants of its OS,
 /// dialect, firewall, PLC firmware, role and zone — the only inputs of
@@ -632,95 +636,59 @@ fn node_class(profile: &ComponentProfile, role: NodeRole, zone: Zone) -> usize {
 }
 
 impl ProbTables {
-    /// Builds the tables for `network` under `threat`, together with the
-    /// per-node PLC payload probabilities (zero for non-PLCs).
+    /// Builds the tables for `network` under `threat`.
     ///
-    /// The catalog expressions run once per distinct node class (see
-    /// [`node_class`]; a generated fleet has 6 classes under monoculture
-    /// and 72 under full rotation), and every node's entry is a copy of
-    /// its class's values — the same IEEE results a per-node evaluation
-    /// gives, so trajectories are unchanged.
+    /// The catalog expressions run once per distinct node class, on the
+    /// profile of the class's first node — the same IEEE results a
+    /// per-node evaluation gives for every node of the class, since a
+    /// class fixes every input of those expressions, so trajectories
+    /// are unchanged.
     fn build(
         network: &ScadaNetwork,
         threat: &ThreatModel,
         historian: &ComponentProfile,
         sensor: &ComponentProfile,
-    ) -> (ProbTables, Vec<f64>) {
+    ) -> ProbTables {
         let cat = &threat.catalog;
-        let n = network.node_count();
         // Position of each class seen so far in `classes`.
         let mut slot = vec![u16::MAX; NODE_CLASSES];
-        let mut classes: Vec<(NodeProbs, f64)> = Vec::new();
-        let mut nodes = Vec::new();
-        nodes.reserve_exact(n);
-        let mut payload_p = Vec::new();
-        payload_p.reserve_exact(n);
+        let mut classes = Vec::new();
+        let mut class_of = Vec::new();
+        class_of.reserve_exact(network.node_count());
         for (i, p) in network.profiles().iter().enumerate() {
             let id = NodeId::from_index(i);
             let (role, zone) = (network.role(id), network.zone(id));
             let class = node_class(p, role, zone);
             if slot[class] == u16::MAX {
                 slot[class] = classes.len() as u16;
-                let probs = NodeProbs {
+                classes.push(ClassProbs {
                     infection: cat.infection_probability(p),
                     escalation: cat.escalation_probability(p),
                     firewall_pass: cat.firewall_pass_probability(p),
+                    payload: if role == NodeRole::Plc {
+                        cat.plc_payload_probability(p)
+                    } else {
+                        0.0
+                    },
                     dialect: p.dialect,
                     needs_dialect: matches!(role, NodeRole::Plc | NodeRole::FieldGateway),
                     zone,
-                };
-                let payload = if role == NodeRole::Plc {
-                    cat.plc_payload_probability(p)
-                } else {
-                    0.0
-                };
-                classes.push((probs, payload));
+                });
             }
-            let (probs, payload) = classes[usize::from(slot[class])];
-            nodes.push(probs);
-            payload_p.push(payload);
+            class_of.push(slot[class]);
         }
-        let tables = ProbTables {
-            nodes,
+        ProbTables {
+            class_of,
+            classes,
             detection_quiet: cat.detection_probability(historian, sensor, false, threat.stealth),
             detection_active: cat.detection_probability(historian, sensor, true, threat.stealth),
-        };
-        (tables, payload_p)
-    }
-
-    #[inline]
-    fn infection_p(&self, dst: NodeId) -> f64 {
-        self.nodes[dst.index()].infection
-    }
-
-    #[inline]
-    fn escalation_p(&self, id: NodeId) -> f64 {
-        self.nodes[id.index()].escalation
-    }
-
-    #[inline]
-    fn firewall_pass_p(&self, dst: NodeId) -> f64 {
-        self.nodes[dst.index()].firewall_pass
-    }
-
-    #[inline]
-    fn src_ctx(&self, src: NodeId) -> SrcCtx {
-        let node = &self.nodes[src.index()];
-        SrcCtx {
-            dialect: node.dialect,
-            zone: node.zone,
         }
     }
 
+    /// The table entry of node `i`'s class.
     #[inline]
-    fn dialect_ok(&self, src: SrcCtx, dst: NodeId) -> bool {
-        let node = &self.nodes[dst.index()];
-        src.dialect == node.dialect || !node.needs_dialect
-    }
-
-    #[inline]
-    fn crosses_zone(&self, src: SrcCtx, dst: NodeId) -> bool {
-        src.zone != self.nodes[dst.index()].zone
+    fn class(&self, i: usize) -> &ClassProbs {
+        &self.classes[usize::from(self.class_of[i])]
     }
 
     #[inline]
@@ -754,17 +722,13 @@ pub struct CampaignSimulator<'n> {
     plc_ids: &'n [NodeId],
     /// Historian/engineering node ids (exfiltration targets), ascending.
     data_ids: Vec<NodeId>,
-    /// Per-node PLC payload probability; zero for non-PLCs and for
-    /// threats without a PLC payload. Fixed because profiles cannot
-    /// change while the simulator borrows the network.
-    payload_p: Vec<f64>,
     /// Representative profiles for detection: the historian node and a
     /// field sensor owner (first PLC).
     historian_profile: ComponentProfile,
     sensor_profile: ComponentProfile,
-    /// Per-node probability tables of the tick stepper, precomputed
-    /// here because profiles cannot change while the simulator borrows
-    /// the network.
+    /// Per-class probability tables of the tick stepper (PLC payload
+    /// probabilities included), precomputed here because profiles
+    /// cannot change while the simulator borrows the network.
     tables: ProbTables,
     /// `lateral_draws[d - 1]` draws a neighbor position of a degree-`d`
     /// node, for every degree up to the topology's maximum: the lateral
@@ -801,12 +765,13 @@ fn goal_plcs(fraction: f64, plcs: usize) -> usize {
 impl<'n> CampaignSimulator<'n> {
     /// Creates a simulator for `threat` against `network`.
     ///
-    /// Costs one pass over the nodes to fill the per-node tables. The
-    /// catalog values in them are computed once per node class (OS,
-    /// dialect, firewall, PLC firmware, role and zone), not once per
-    /// node, and the CSR topology is the network's shared cache, built
-    /// at most once per plant. The lateral draws cost one [`IndexDraw`]
-    /// per degree up to the topology's recorded maximum.
+    /// Costs one pass over the nodes to record each node's class (OS,
+    /// dialect, firewall, PLC firmware, role and zone) in a 2-byte
+    /// index; the catalog values are computed and stored once per class
+    /// present, not once per node. The CSR topology is the network's
+    /// shared cache, built at most once per plant. The lateral draws
+    /// cost one [`IndexDraw`] per degree up to the topology's recorded
+    /// maximum.
     #[must_use]
     pub fn new(network: &'n ScadaNetwork, threat: ThreatModel, config: CampaignConfig) -> Self {
         let topo = network.topology();
@@ -828,8 +793,7 @@ impl<'n> CampaignSimulator<'n> {
             .first()
             .map(|&id| *network.profile(id))
             .unwrap_or_default();
-        let (tables, payload_p) =
-            ProbTables::build(network, &threat, &historian_profile, &sensor_profile);
+        let tables = ProbTables::build(network, &threat, &historian_profile, &sensor_profile);
         let lateral_draws = (1..=topo.max_degree()).map(IndexDraw::new).collect();
         let goal_plcs = match threat.goal {
             AttackGoal::ImpairDevices { fraction } => goal_plcs(fraction, plc_ids.len()),
@@ -843,7 +807,6 @@ impl<'n> CampaignSimulator<'n> {
             entries,
             plc_ids,
             data_ids,
-            payload_p,
             historian_profile,
             sensor_profile,
             tables,
@@ -927,7 +890,8 @@ impl<'n> CampaignSimulator<'n> {
     /// the body of the historical `run_into` tick loop, draw for draw,
     /// so the stepper stays bit-identical to
     /// [`CampaignSimulator::run_reference`]. Per-node probabilities
-    /// come from the precomputed [`ProbTables`], lateral draws from the
+    /// come from the precomputed [`ProbTables`], read through the
+    /// node's class once per visit, lateral draws from the
     /// per-degree [`IndexDraw`]s (the same indexes `RngStream::index`
     /// returns) and the goal test from the precomputed PLC count.
     fn step_tick(&self, ws: &mut CampaignWorkspace, pr: &mut Progress, rng: &mut RngStream) {
@@ -953,7 +917,7 @@ impl<'n> CampaignSimulator<'n> {
         // Stuxnet dossier); entry succeeds against the entry node's OS.
         if pr.clean == n {
             if let Some(&entry) = self.entries.first() {
-                let p = probs.infection_p(entry);
+                let p = probs.class(entry.index()).infection;
                 if rng.bernoulli(p) {
                     states[entry.index()] = NodeCompromise::Infected;
                     pr.clean -= 1;
@@ -982,13 +946,13 @@ impl<'n> CampaignSimulator<'n> {
             while let Some(i) = infected.next_at_or_after(cursor) {
                 cursor = i + 1;
                 let id = NodeId::from_index(i);
-                if rng.bernoulli(probs.escalation_p(id)) {
+                if rng.bernoulli(probs.class(i).escalation) {
                     states[i] = NodeCompromise::Rooted;
                     infected.remove(i);
                     note_rooted(
                         net,
                         topo,
-                        &self.payload_p,
+                        probs,
                         id,
                         states,
                         compromised_nbrs,
@@ -1011,9 +975,8 @@ impl<'n> CampaignSimulator<'n> {
             let mut cursor = 0;
             while let Some(s) = frontier.next_at_or_after(cursor) {
                 cursor = s + 1;
-                let src = NodeId::from_index(s);
-                let neighbors = topo.neighbors(src);
-                let src_ctx = probs.src_ctx(src);
+                let neighbors = topo.neighbors(NodeId::from_index(s));
+                let src = probs.class(s);
                 // A frontier node has a clean neighbor, so `len() >= 1`.
                 let draw = &self.lateral_draws[neighbors.len() - 1];
                 for _ in 0..self.threat.attempts_per_tick {
@@ -1021,21 +984,20 @@ impl<'n> CampaignSimulator<'n> {
                     if states[dst.index()] != NodeCompromise::Clean {
                         continue;
                     }
+                    let dst_probs = probs.class(dst.index());
                     // Zone crossings face the destination firewall.
-                    if probs.crosses_zone(src_ctx, dst) {
-                        let pass = probs.firewall_pass_p(dst);
-                        if !rng.bernoulli(pass) {
-                            pr.firewall_blocks += 1;
-                            continue;
-                        }
+                    if src.zone != dst_probs.zone && !rng.bernoulli(dst_probs.firewall_pass) {
+                        pr.firewall_blocks += 1;
+                        continue;
                     }
                     // Propagation additionally requires speaking the
                     // destination's wire dialect inside the field zone.
-                    if !probs.dialect_ok(src_ctx, dst) && !rng.bernoulli(0.05) {
+                    let dialect_ok = src.dialect == dst_probs.dialect || !dst_probs.needs_dialect;
+                    if !dialect_ok && !rng.bernoulli(0.05) {
                         pr.payload_failures += 1;
                         continue;
                     }
-                    if rng.bernoulli(probs.infection_p(dst)) {
+                    if rng.bernoulli(dst_probs.infection) {
                         states[dst.index()] = NodeCompromise::Infected;
                         pr.clean -= 1;
                         infected.insert(dst.index());
@@ -1065,7 +1027,7 @@ impl<'n> CampaignSimulator<'n> {
             while let Some(pi) = eligible.next_at_or_after(cursor) {
                 cursor = pi + 1;
                 let plc = NodeId::from_index(pi);
-                if rng.bernoulli(self.payload_p[pi]) {
+                if rng.bernoulli(probs.class(pi).payload) {
                     let prev = states[pi];
                     states[pi] = NodeCompromise::Reprogrammed;
                     if prev == NodeCompromise::Clean {
@@ -1087,7 +1049,7 @@ impl<'n> CampaignSimulator<'n> {
                     note_rooted(
                         net,
                         topo,
-                        &self.payload_p,
+                        probs,
                         plc,
                         states,
                         compromised_nbrs,
@@ -1198,21 +1160,19 @@ impl<'n> CampaignSimulator<'n> {
                 NodeCompromise::Infected => {
                     infected.insert(i);
                 }
-                NodeCompromise::Rooted | NodeCompromise::Reprogrammed => {
-                    let id = NodeId::from_index(i);
-                    if (compromised_nbrs[i] as usize) < self.topo.degree(id) {
-                        frontier.insert(i);
-                    }
-                    if self.payload_p[i] > 0.0 && state != NodeCompromise::Reprogrammed {
-                        eligible.insert(i);
-                    }
-                    for &nb in self.topo.neighbors(id) {
-                        let j = nb.index();
-                        if self.payload_p[j] > 0.0 && states[j] != NodeCompromise::Reprogrammed {
-                            eligible.insert(j);
-                        }
-                    }
-                }
+                NodeCompromise::Rooted | NodeCompromise::Reprogrammed => note_rooted(
+                    self.network,
+                    self.topo,
+                    &self.tables,
+                    NodeId::from_index(i),
+                    states,
+                    compromised_nbrs,
+                    frontier,
+                    eligible,
+                    // The checkpoint's progress already counts every
+                    // data-bearing root.
+                    &mut 0,
+                ),
             }
         }
         ratio_curve.push(cp.progress.ratio());
@@ -1686,6 +1646,81 @@ mod tests {
         ScopeSystem::build(&ScopeConfig::default())
             .network()
             .clone()
+    }
+
+    /// A ~3,000-node fleet whose every node draws its OS, PLC firmware,
+    /// wire dialect and firewall over all their variants, so it holds
+    /// more node classes than one byte can index.
+    fn many_class_fleet() -> ScadaNetwork {
+        let mut net = FleetSystem::build(&FleetConfig::sized(3_000, 0xC1A55))
+            .network()
+            .clone();
+        let mut rng = RngStream::new(0xC1A55, StreamId(0xC1A55));
+        for p in net.profiles_mut() {
+            p.os = OsVariant::ALL[rng.index(OsVariant::ALL.len())];
+            p.plc_firmware = PlcFirmware::ALL[rng.index(PlcFirmware::ALL.len())];
+            p.dialect = ProtocolDialect::ALL[rng.index(ProtocolDialect::ALL.len())];
+            p.firewall = FirewallPolicy::ALL[rng.index(FirewallPolicy::ALL.len())];
+        }
+        net
+    }
+
+    #[test]
+    fn every_node_reads_its_own_catalog_values_through_its_class() {
+        let (scope, fleet) = (scope_network(), many_class_fleet());
+        for net in [&scope, &fleet] {
+            for threat in [
+                ThreatModel::stuxnet_like(),
+                ThreatModel::duqu_like(),
+                ThreatModel::flame_like(),
+            ] {
+                let sim = CampaignSimulator::new(net, threat, CampaignConfig::default());
+                let cat = &sim.threat.catalog;
+                for id in net.node_ids() {
+                    let (p, role) = (net.profile(id), net.role(id));
+                    let payload = if role == NodeRole::Plc {
+                        cat.plc_payload_probability(p)
+                    } else {
+                        0.0
+                    };
+                    let entry = sim.tables.class(id.index());
+                    let node = net.name(id);
+                    assert_eq!(
+                        entry.infection.to_bits(),
+                        cat.infection_probability(p).to_bits(),
+                        "{node}"
+                    );
+                    assert_eq!(
+                        entry.escalation.to_bits(),
+                        cat.escalation_probability(p).to_bits(),
+                        "{node}"
+                    );
+                    assert_eq!(
+                        entry.firewall_pass.to_bits(),
+                        cat.firewall_pass_probability(p).to_bits(),
+                        "{node}"
+                    );
+                    assert_eq!(entry.payload.to_bits(), payload.to_bits(), "{node}");
+                    assert_eq!(entry.dialect, p.dialect, "{node}");
+                    assert_eq!(
+                        entry.needs_dialect,
+                        matches!(role, NodeRole::Plc | NodeRole::FieldGateway),
+                        "{node}"
+                    );
+                    assert_eq!(entry.zone, net.zone(id), "{node}");
+                }
+            }
+        }
+        let sim = CampaignSimulator::new(
+            &fleet,
+            ThreatModel::stuxnet_like(),
+            CampaignConfig::default(),
+        );
+        assert!(
+            sim.tables.classes.len() > 256,
+            "{} classes",
+            sim.tables.classes.len()
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! ```
 
 use crate::components::ComponentProfile;
-use crate::network::{NodeId, NodeRole, Plant, ScadaNetwork, Zone};
+use crate::network::{NodeRole, Plant, ScadaNetwork, Zone};
 use diversify_des::{RngStream, StreamId};
 
 /// RNG stream id for fleet topology generation.
@@ -109,29 +109,12 @@ impl FleetConfig {
     }
 }
 
-/// Node ids of one generated plant.
-#[derive(Debug, Clone)]
-pub struct PlantNodes {
-    /// Office workstations (corporate zone).
-    pub offices: Vec<NodeId>,
-    /// Operator HMI.
-    pub hmi: NodeId,
-    /// Process historian (WAN ring endpoint).
-    pub historian: NodeId,
-    /// Engineering workstation.
-    pub engineering: NodeId,
-    /// Field gateways, one per substation.
-    pub gateways: Vec<NodeId>,
-    /// PLCs, grouped per substation in gateway order.
-    pub plcs: Vec<NodeId>,
-}
-
-/// A generated fleet: the network plus per-plant node indexes.
+/// A generated fleet: the network and the configuration it was
+/// generated from.
 #[derive(Debug, Clone)]
 pub struct FleetSystem {
     config: FleetConfig,
     network: ScadaNetwork,
-    plants: Vec<PlantNodes>,
 }
 
 impl FleetSystem {
@@ -149,20 +132,23 @@ impl FleetSystem {
         );
         let mut rng = RngStream::new(config.seed, FLEET_STREAM);
         let mut net = Plant::default();
-        let mut plants = Vec::with_capacity(config.plants);
+        // One historian per plant, for the WAN ring; the other id lists
+        // are per plant and reused.
+        let mut historians = Vec::with_capacity(config.plants);
+        let mut offices = Vec::with_capacity(config.offices_per_plant);
+        let mut gateways = Vec::with_capacity(config.substations_per_plant);
 
         for plant in 0..config.plants {
             // Corporate zone: office LAN chain, reporting into the
             // historian below.
-            let offices: Vec<NodeId> = (0..config.offices_per_plant)
-                .map(|i| {
-                    net.add_node(
-                        format_args!("p{plant}-office-{i}"),
-                        NodeRole::OfficeWorkstation,
-                        Zone::Corporate,
-                    )
-                })
-                .collect();
+            offices.clear();
+            offices.extend((0..config.offices_per_plant).map(|i| {
+                net.add_node(
+                    format_args!("p{plant}-office-{i}"),
+                    NodeRole::OfficeWorkstation,
+                    Zone::Corporate,
+                )
+            }));
             for w in offices.windows(2) {
                 net.connect(w[0], w[1]);
             }
@@ -194,8 +180,7 @@ impl FleetSystem {
             // PLC counts jitter ±1 around the configured mean so plants
             // differ; every gateway keeps supervisory links to the HMI
             // and the engineering workstation (project downloads).
-            let mut gateways = Vec::with_capacity(config.substations_per_plant);
-            let mut plcs = Vec::new();
+            gateways.clear();
             for sub in 0..config.substations_per_plant {
                 let gw = net.add_node(
                     format_args!("p{plant}-gw-{sub}"),
@@ -215,7 +200,6 @@ impl FleetSystem {
                         Zone::Field,
                     );
                     net.connect(gw, plc);
-                    plcs.push(plc);
                 }
                 gateways.push(gw);
             }
@@ -225,23 +209,15 @@ impl FleetSystem {
                     net.connect(pair[0], pair[1]);
                 }
             }
-
-            plants.push(PlantNodes {
-                offices,
-                hmi,
-                historian,
-                engineering,
-                gateways,
-                plcs,
-            });
+            historians.push(historian);
         }
 
         // Fleet WAN: historian ring (closed only when it adds a new edge).
-        for pair in plants.windows(2) {
-            net.connect(pair[0].historian, pair[1].historian);
+        for pair in historians.windows(2) {
+            net.connect(pair[0], pair[1]);
         }
-        if plants.len() > 2 {
-            net.connect(plants[plants.len() - 1].historian, plants[0].historian);
+        if historians.len() > 2 {
+            net.connect(historians[historians.len() - 1], historians[0]);
         }
 
         let profiles = vec![config.baseline_profile; net.node_count()];
@@ -249,7 +225,6 @@ impl FleetSystem {
             config: config.clone(),
             network: ScadaNetwork::from_parts(net, profiles)
                 .expect("generated plants are consistent"),
-            plants,
         }
     }
 
@@ -269,17 +244,12 @@ impl FleetSystem {
     pub fn config(&self) -> &FleetConfig {
         &self.config
     }
-
-    /// Per-plant node indexes, in generation order.
-    #[must_use]
-    pub fn plants(&self) -> &[PlantNodes] {
-        &self.plants
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::NodeId;
 
     #[test]
     fn default_fleet_matches_estimate_closely() {
@@ -333,15 +303,24 @@ mod tests {
     fn fleet_is_connected_and_zoned() {
         let fleet = FleetSystem::build(&FleetConfig::sized(1_000, 3));
         let net = fleet.network();
-        let entry = fleet.plants()[0].offices[0];
-        assert_eq!(net.reachable(entry).len(), net.node_count());
+        let offices = net.nodes_with_role(NodeRole::OfficeWorkstation);
+        let plcs = net.nodes_with_role(NodeRole::Plc);
+        assert_eq!(net.reachable(offices[0]).len(), net.node_count());
         for zone in Zone::ALL {
             assert!(net.node_ids().any(|id| net.zone(id) == zone), "{zone:?}");
         }
-        // Every plant contributes an entry point and PLCs.
-        for plant in fleet.plants() {
-            assert!(net.role(plant.offices[0]).is_entry_point());
-            assert!(!plant.plcs.is_empty());
+        // Every plant contributes an entry point and PLCs: node names
+        // carry their plant's `p{plant}-` prefix.
+        for plant in 0..fleet.config().plants {
+            let prefix = format!("p{plant}-");
+            let in_plant = |id: NodeId| net.name(id).starts_with(&prefix);
+            assert!(
+                offices
+                    .iter()
+                    .any(|&id| in_plant(id) && net.role(id).is_entry_point()),
+                "plant {plant}"
+            );
+            assert!(plcs.iter().any(|&id| in_plant(id)), "plant {plant}");
         }
     }
 

@@ -37,6 +37,8 @@ pub struct SweepOptions {
     /// How long a leased shard may go silent before its worker is
     /// declared dead. Generous by default: CI runners may have a
     /// single core, so a busy worker thread can be starved for a while.
+    /// A timeout past what [`Instant`] can represent (`Duration::MAX`)
+    /// never declares a silent worker dead.
     pub heartbeat_timeout: Duration,
     /// Per-worker receive poll while supervising.
     pub poll_timeout: Duration,
@@ -47,7 +49,9 @@ pub struct SweepOptions {
     /// Ceiling on the retry delay.
     pub backoff_cap: Duration,
     /// How long to wait for in-flight shards to drain after a cancel
-    /// or deadline before declaring them lost.
+    /// or deadline before declaring them lost. A grace past what
+    /// [`Instant`] can represent (`Duration::MAX`) waits for every
+    /// in-flight shard to report.
     pub drain_grace: Duration,
     /// Wall-clock bound on the whole sweep.
     pub deadline: Option<Duration>,
@@ -179,7 +183,12 @@ struct Task {
 
 enum SlotState {
     Idle,
-    Busy { task: Box<Task>, lease: Instant },
+    /// `lease` is when the worker is declared dead unless it
+    /// heartbeats first; `None` never.
+    Busy {
+        task: Box<Task>,
+        lease: Option<Instant>,
+    },
 }
 
 struct WorkerSlot {
@@ -262,7 +271,9 @@ impl Coordinator {
         let mut batches: BTreeMap<(u32, u32), BatchSnapshot> = BTreeMap::new();
         let mut health: BTreeMap<u32, ShardHealth> = BTreeMap::new();
         let mut wind_down: Option<WindDown> = None;
-        let mut drain_deadline = started;
+        // When a wind-down stops waiting for in-flight shards; `None`
+        // waits for all of them.
+        let mut drain_deadline: Option<Instant> = None;
 
         loop {
             let now = Instant::now();
@@ -283,7 +294,7 @@ impl Coordinator {
                     } else {
                         WindDown::DeadlineExpired
                     });
-                    drain_deadline = now + self.options.drain_grace;
+                    drain_deadline = now.checked_add(self.options.drain_grace);
                     for slot in self.workers.iter_mut().flatten() {
                         if let SlotState::Busy { task, .. } = &slot.state {
                             let frame = encode_message(&ToWorker::Cancel {
@@ -321,7 +332,7 @@ impl Coordinator {
             if pending.is_empty() && busy == 0 {
                 break;
             }
-            if wind_down.is_some() && now >= drain_deadline {
+            if wind_down.is_some() && drain_deadline.is_some_and(|d| now >= d) {
                 // Still-leased shards are filed below, after the loop.
                 break;
             }
@@ -376,7 +387,7 @@ impl Coordinator {
                 Ok(()) => {
                     slot.state = SlotState::Busy {
                         task: Box::new(task),
-                        lease: now + self.options.heartbeat_timeout,
+                        lease: now.checked_add(self.options.heartbeat_timeout),
                     };
                 }
                 Err(e) => {
@@ -447,7 +458,7 @@ impl Coordinator {
             };
             match msg {
                 FromWorker::Heartbeat { shard } if shard == task.spec.shard => {
-                    *lease = Instant::now() + heartbeat;
+                    *lease = Instant::now().checked_add(heartbeat);
                 }
                 FromWorker::Done { outcome } if outcome.shard == task.spec.shard => {
                     let SlotState::Busy { task, .. } =
@@ -507,7 +518,7 @@ impl Coordinator {
             let SlotState::Busy { lease, task } = &slot.state else {
                 continue;
             };
-            if now < *lease {
+            if !lease.is_some_and(|lease| now >= lease) {
                 continue;
             }
             let cancel_frame = encode_message(&ToWorker::Cancel {
@@ -883,6 +894,40 @@ mod tests {
         let report = coordinator.run_sweep(vec![shard(0, 0, 2), shard(1, 2, 2)]);
         assert!(report.cancelled);
         assert!(report.is_degraded());
+        assert!(report
+            .health
+            .iter()
+            .all(|h| h.state == ShardState::Cancelled));
+    }
+
+    #[test]
+    fn unrepresentable_timeouts_mean_never_not_a_panic() {
+        // `Instant + Duration::MAX` overflows: both timeouts saturate
+        // to "never" instead of panicking on the first lease, on each
+        // heartbeat, or on cancel.
+        let never = SweepOptions {
+            heartbeat_timeout: Duration::MAX,
+            drain_grace: Duration::MAX,
+            ..sweep_options()
+        };
+        let (channels, _handles) = spawn_workers(vec![WorkerOptions::default()]);
+        let mut coordinator = Coordinator::new(channels, never.clone());
+        let report = coordinator.run_sweep(vec![shard(0, 0, 2), shard(1, 2, 2)]);
+        assert!(!report.is_degraded(), "health: {:?}", report.health);
+        assert_identical(&report.merge_cell(0).unwrap(), &reference(4));
+
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let (channels, _handles) = spawn_workers(vec![WorkerOptions::default()]);
+        let mut coordinator = Coordinator::new(
+            channels,
+            SweepOptions {
+                cancel: Some(cancel),
+                ..never
+            },
+        );
+        let report = coordinator.run_sweep(vec![shard(0, 0, 2), shard(1, 2, 2)]);
+        assert!(report.cancelled);
         assert!(report
             .health
             .iter()

@@ -220,6 +220,43 @@ impl Flight {
     }
 }
 
+/// The leader's claim on a request key: dropping it removes the flight
+/// from the in-flight table and publishes the leader's answer to every
+/// waiter — or, when the leader unwound before answering, a degraded
+/// response with no measurements, so waiters return and the next
+/// identical request computes afresh instead of waiting forever.
+struct Leader<'s> {
+    flights: &'s Mutex<HashMap<ContentKey, Arc<Flight>>>,
+    key: ContentKey,
+    flight: Arc<Flight>,
+    response: Option<IndicatorResponse>,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        lock(self.flights).remove(&self.key);
+        self.flight
+            .publish(self.response.take().unwrap_or_else(abandoned));
+    }
+}
+
+/// What waiters on a flight get when its leader panicked: degraded,
+/// nothing measured.
+fn abandoned() -> IndicatorResponse {
+    IndicatorResponse {
+        measurements: None,
+        precision: None,
+        target_met: false,
+        replications: 0,
+        new_replications: 0,
+        from_cache: false,
+        degraded: true,
+        cancelled: false,
+        deadline_expired: false,
+        health: Vec::new(),
+    }
+}
+
 /// Locks a mutex, surviving poisoning (a worker panic must degrade the
 /// service, never wedge it).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -295,10 +332,13 @@ impl IndicatorService {
     /// onto one computation; repeats of a completed request are served
     /// from the memo store with zero new replications. Always returns:
     /// under worker faults the response degrades to the clean prefix
-    /// plus a health table instead of hanging.
+    /// plus a health table instead of hanging. If the computation
+    /// panics (say, in a caller's [`Channel`]), the panic reaches this
+    /// caller, its waiting duplicates get a degraded response with no
+    /// measurements, and the next identical request computes afresh.
     pub fn request(&self, request: &IndicatorRequest) -> IndicatorResponse {
         let request_key = request.request_key();
-        let flight = {
+        let mut leader = {
             let mut flights = lock(&self.flights);
             if let Some(existing) = flights.get(&request_key) {
                 let existing = Arc::clone(existing);
@@ -307,11 +347,15 @@ impl IndicatorService {
             }
             let fresh = Arc::new(Flight::new());
             flights.insert(request_key, Arc::clone(&fresh));
-            fresh
+            Leader {
+                flights: &self.flights,
+                key: request_key,
+                flight: fresh,
+                response: None,
+            }
         };
         let response = self.compute(request);
-        lock(&self.flights).remove(&request_key);
-        flight.publish(response.clone());
+        leader.response = Some(response.clone());
         response
     }
 
@@ -446,10 +490,11 @@ impl Drop for IndicatorService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::ChannelError;
     use diversify_attack::campaign::CampaignSimulator;
     use diversify_core::exec::{campaign_plan, MeasurementsCollector};
     use diversify_des::exec::{Executor, RetryPolicy};
-    use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan};
+    use diversify_des::faults::{silence_injected_panics, FaultKind, FaultPlan, InjectedPanic};
     use diversify_scada::scope::ScopeSystem;
     use std::time::Duration;
 
@@ -645,6 +690,101 @@ mod tests {
             repeat.measurements.as_ref().unwrap(),
             response.measurements.as_ref().unwrap(),
         );
+    }
+
+    #[test]
+    fn never_expiring_timeouts_answer_like_the_local_run() {
+        let mut options = service_options();
+        options.sweep.heartbeat_timeout = Duration::MAX;
+        options.sweep.drain_grace = Duration::MAX;
+        let service = IndicatorService::in_process(2, options);
+        let response = service.request(&request(4));
+        assert!(!response.degraded, "health: {:?}", response.health);
+        assert!(response.target_met);
+        assert_identical(response.measurements.as_ref().unwrap(), &reference(4));
+    }
+
+    /// A caller's channel that panics on its first send, then forwards.
+    struct PanicsOnFirstSend<C> {
+        inner: C,
+        sent: bool,
+    }
+
+    impl<C: Channel> Channel for PanicsOnFirstSend<C> {
+        fn send(&mut self, frame: &[u8]) -> Result<(), ChannelError> {
+            if !std::mem::replace(&mut self.sent, true) {
+                std::panic::panic_any(InjectedPanic { index: 0 });
+            }
+            self.inner.send(frame)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, ChannelError> {
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
+    #[test]
+    fn a_panicking_leader_does_not_wedge_its_request_key() {
+        silence_injected_panics();
+        let (coordinator_side, worker_side) = loopback_pair();
+        let worker = std::thread::spawn(move || run_worker(worker_side, &WorkerOptions::default()));
+        let channel = PanicsOnFirstSend {
+            inner: coordinator_side,
+            sent: false,
+        };
+        let service = Arc::new(IndicatorService::with_channels(
+            vec![Box::new(channel)],
+            service_options(),
+        ));
+        let leader = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.request(&request(2)))
+        };
+        assert!(
+            leader.join().is_err(),
+            "the channel's panic reaches the leader"
+        );
+
+        let (answered, answer) = std::sync::mpsc::channel();
+        let retry = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                let _ = answered.send(service.request(&request(2)));
+            })
+        };
+        let response = answer
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the identical retry still blocks 10 s after its leader panicked");
+        retry.join().unwrap();
+        assert!(!response.degraded, "health: {:?}", response.health);
+        assert!(response.target_met);
+        assert_identical(response.measurements.as_ref().unwrap(), &reference(2));
+        drop(service);
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn waiters_on_an_unwound_leader_get_a_degraded_empty_answer() {
+        silence_injected_panics();
+        let key = request(2).request_key();
+        let flights = Mutex::new(HashMap::new());
+        let flight = Arc::new(Flight::new());
+        lock(&flights).insert(key, Arc::clone(&flight));
+        let leader = Leader {
+            flights: &flights,
+            key,
+            flight: Arc::clone(&flight),
+            response: None,
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _leader = leader;
+            std::panic::panic_any(InjectedPanic { index: 0 });
+        }));
+        assert!(unwound.is_err());
+        assert!(lock(&flights).is_empty());
+        let waited = flight.wait();
+        assert!(waited.degraded && !waited.target_met);
+        assert!(waited.measurements.is_none());
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! catalog evaluation where they differ.
 
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
+use diversify::des::{RngStream, StreamId};
 use diversify::diversity::config::DiversityConfig;
 use diversify::diversity::placement::{apply_placement, PlacementStrategy};
-use diversify::scada::components::{ComponentClass, ComponentProfile};
+use diversify::scada::components::{
+    ComponentClass, ComponentProfile, FirewallPolicy, OsVariant, PlcFirmware,
+};
 use diversify::scada::fleet::{FleetConfig, FleetSystem};
 use diversify::scada::network::ScadaNetwork;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
+use diversify::scada::ProtocolDialect;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn scope_network() -> ScadaNetwork {
     ScopeSystem::build(&ScopeConfig::default())
@@ -94,6 +99,45 @@ fn frontier_matches_reference_on_scope_network() {
             CampaignConfig::default(),
             &(0..20).collect::<Vec<_>>(),
         );
+    }
+}
+
+/// The simulator stores one table entry per node class (profile fields,
+/// role and zone) and a `u16` class index per node. The shipped
+/// diversity configurations make at most 72 classes; this ~3,000-node
+/// fleet draws every node's OS, PLC firmware, dialect and firewall over
+/// all their variants, so its class indexes run past one byte.
+#[test]
+fn frontier_matches_reference_past_256_node_classes() {
+    let mut net = FleetSystem::build(&FleetConfig::sized(3_000, 0xC1A55))
+        .network()
+        .clone();
+    let mut rng = RngStream::new(0xC1A55, StreamId(0xC1A55));
+    for p in net.profiles_mut() {
+        p.os = OsVariant::ALL[rng.index(OsVariant::ALL.len())];
+        p.plc_firmware = PlcFirmware::ALL[rng.index(PlcFirmware::ALL.len())];
+        p.dialect = ProtocolDialect::ALL[rng.index(ProtocolDialect::ALL.len())];
+        p.firewall = FirewallPolicy::ALL[rng.index(FirewallPolicy::ALL.len())];
+    }
+    let classes: HashSet<_> = net
+        .node_ids()
+        .map(|id| {
+            let p = net.profile(id);
+            let fields = (p.os, p.plc_firmware, p.dialect, p.firewall);
+            (fields, net.role(id), net.zone(id))
+        })
+        .collect();
+    assert!(classes.len() > 256, "{} node classes", classes.len());
+    let campaign = CampaignConfig {
+        max_ticks: 24 * 30,
+        detection_stops_attack: false,
+    };
+    for threat in [
+        ThreatModel::stuxnet_like(),
+        ThreatModel::duqu_like(),
+        ThreatModel::flame_like(),
+    ] {
+        assert_paths_agree(&net, threat, campaign, &[0, 1]);
     }
 }
 

@@ -8,10 +8,12 @@
 //! reused, a collection that grows past its warm-up size — shows up as
 //! a non-zero delta.
 //!
-//! The counter is per thread, and every case runs its measured work on
-//! the test's own thread (the serial executor and the SAN solvers never
-//! spawn), so allocations made by the test harness or by sibling tests
-//! running in parallel never land inside a measured window.
+//! The counters are per thread, and every case runs its measured work
+//! on the test's own thread (the serial executor and the SAN solvers
+//! never spawn), so allocations made by the test harness or by sibling
+//! tests running in parallel never land inside a measured window. Next
+//! to the allocation count, a byte counter bounds the memory one-off
+//! set-up asks for (`CampaignSimulator::new`'s tables).
 //!
 //! The loops under guard are the ones the tentpole made allocation-free:
 //! the campaign simulator driven through a reused
@@ -34,21 +36,24 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator, per thread. Deallocations are not counted: the property
-/// under test is "no new memory is requested", which `alloc`/`realloc`
-/// alone witness.
+/// allocator, and the bytes each one requests, per thread.
+/// Deallocations are not counted: the property under test is "no new
+/// memory is requested", which `alloc`/`realloc` alone witness.
 struct CountingAllocator;
 
 thread_local! {
-    /// `const`-initialised and free of destructors, so touching it from
-    /// inside the allocator never allocates or registers a destructor.
+    /// `const`-initialised and free of destructors, so touching them
+    /// from inside the allocator never allocates or registers a
+    /// destructor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static REQUESTED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     // `try_with` only fails during thread teardown, when nothing is
     // being measured.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = REQUESTED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -56,12 +61,12 @@ fn count_allocation() {
 // bumping a thread-local counter, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -76,6 +81,12 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes the calling thread's allocations and reallocations have asked
+/// for so far (a reallocation counts its whole new size).
+fn requested_bytes() -> u64 {
+    REQUESTED_BYTES.with(Cell::get)
 }
 
 fn scope_network() -> ScadaNetwork {
@@ -171,6 +182,30 @@ fn fleet_build_does_not_allocate_per_node() {
     assert!(
         delta < nodes / 4,
         "building a {nodes}-node fleet allocated {delta} times"
+    );
+}
+
+/// The simulator's probability tables hold one entry per node class
+/// and a 2-byte class index per node, so on a network whose CSR
+/// topology is already built, `CampaignSimulator::new` asks for fewer
+/// than 4 bytes per node; an entry per node would cost 40.
+#[test]
+fn simulator_tables_cost_under_four_bytes_per_node() {
+    use diversify::diversity::config::DiversityConfig;
+    use diversify::scada::fleet::{FleetConfig, FleetSystem};
+    let mut net = FleetSystem::build(&FleetConfig::sized(21_000, 0xA110C))
+        .network()
+        .clone();
+    DiversityConfig::full_rotation().apply(&mut net);
+    black_box(net.topology());
+    let before = requested_bytes();
+    let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
+    let bytes = requested_bytes() - before;
+    black_box(&sim);
+    let nodes = net.node_count() as u64;
+    assert!(
+        bytes < 4 * nodes,
+        "CampaignSimulator::new asked for {bytes} bytes on a {nodes}-node fleet"
     );
 }
 
