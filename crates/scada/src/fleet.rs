@@ -27,7 +27,7 @@
 //! ```
 
 use crate::components::ComponentProfile;
-use crate::network::{NodeRole, Plant, ScadaNetwork, Zone};
+use crate::network::{NameBuf, NodeRole, Plant, ScadaNetwork, Zone};
 use diversify_des::{RngStream, StreamId};
 
 /// RNG stream id for fleet topology generation.
@@ -107,6 +107,54 @@ impl FleetConfig {
     pub fn node_estimate(&self) -> usize {
         self.plants * self.nodes_per_plant_estimate()
     }
+
+    /// Upper bounds on the generated plant's node count, name bytes and
+    /// link count, in that order: every substation at its jitter
+    /// maximum (one PLC over the mean) and every decimal index in a name
+    /// as wide as the largest one. `None` if a bound overflows `usize`.
+    fn plant_bounds(&self) -> Option<(usize, usize, usize)> {
+        let (offices, subs) = (self.offices_per_plant, self.substations_per_plant);
+        let max_plcs = self.plcs_per_substation.checked_add(1)?;
+        // Width of the widest index in `0..n`.
+        let width = |n: usize| decimal_len(n.saturating_sub(1));
+        let p = 1 + width(self.plants); // `p{plant}`
+        let office_name = p + "-office-".len() + width(offices);
+        let triangle_names = 3 * p + "-hmi".len() + "-historian".len() + "-engineering".len();
+        let gateway_name = p + "-gw-".len() + width(subs);
+        let plc_name = p + "-plc-".len() + width(subs) + "-".len() + width(max_plcs);
+
+        let sub_names = max_plcs.checked_mul(plc_name)?.checked_add(gateway_name)?;
+        let plant_names = subs
+            .checked_mul(sub_names)?
+            .checked_add(offices.checked_mul(office_name)?)?
+            .checked_add(triangle_names)?;
+        let plant_nodes = subs
+            .checked_mul(max_plcs.checked_add(1)?)?
+            .checked_add(offices)?
+            .checked_add(3)?;
+        // Office chain and reporting links, the triangle, and per
+        // substation two supervisory links, the PLC star and a backbone
+        // link; one WAN ring link per plant.
+        let plant_links = subs
+            .checked_mul(max_plcs.checked_add(3)?)?
+            .checked_add(offices.checked_mul(2)?)?
+            .checked_add(4)?;
+        Some((
+            self.plants.checked_mul(plant_nodes)?,
+            self.plants.checked_mul(plant_names)?,
+            self.plants.checked_mul(plant_links)?,
+        ))
+    }
+}
+
+/// Number of decimal digits of `n`.
+fn decimal_len(mut n: usize) -> usize {
+    let mut len = 1;
+    while n >= 10 {
+        n /= 10;
+        len += 1;
+    }
+    len
 }
 
 /// A generated fleet: the network and the configuration it was
@@ -131,20 +179,30 @@ impl FleetSystem {
             "non-empty fleet required"
         );
         let mut rng = RngStream::new(config.seed, FLEET_STREAM);
-        let mut net = Plant::default();
+        // Every plant buffer is sized once; a bound past `usize` leaves
+        // them to grow (the 32-bit id check fails long before).
+        let mut net = config
+            .plant_bounds()
+            .map_or_else(Plant::default, |(nodes, name_bytes, links)| {
+                Plant::with_capacity(nodes, name_bytes, links)
+            });
         // One historian per plant, for the WAN ring; the other id lists
         // are per plant and reused.
         let mut historians = Vec::with_capacity(config.plants);
         let mut offices = Vec::with_capacity(config.offices_per_plant);
         let mut gateways = Vec::with_capacity(config.substations_per_plant);
+        // `p{plant}` is written once per plant and `p{plant}-plc-{sub}`
+        // once per substation; every name extends one of them.
+        let mut name = NameBuf::default();
 
         for plant in 0..config.plants {
+            let p = name.indexed(0, "p", plant).len();
             // Corporate zone: office LAN chain, reporting into the
             // historian below.
             offices.clear();
             offices.extend((0..config.offices_per_plant).map(|i| {
                 net.add_node(
-                    format_args!("p{plant}-office-{i}"),
+                    name.indexed(p, "-office-", i),
                     NodeRole::OfficeWorkstation,
                     Zone::Corporate,
                 )
@@ -154,18 +212,14 @@ impl FleetSystem {
             }
 
             // Control-center zone: the SCoPE triangle.
-            let hmi = net.add_node(
-                format_args!("p{plant}-hmi"),
-                NodeRole::Hmi,
-                Zone::ControlCenter,
-            );
+            let hmi = net.add_node(name.tail(p, "-hmi"), NodeRole::Hmi, Zone::ControlCenter);
             let historian = net.add_node(
-                format_args!("p{plant}-historian"),
+                name.tail(p, "-historian"),
                 NodeRole::Historian,
                 Zone::ControlCenter,
             );
             let engineering = net.add_node(
-                format_args!("p{plant}-engineering"),
+                name.tail(p, "-engineering"),
                 NodeRole::EngineeringWorkstation,
                 Zone::ControlCenter,
             );
@@ -183,7 +237,7 @@ impl FleetSystem {
             gateways.clear();
             for sub in 0..config.substations_per_plant {
                 let gw = net.add_node(
-                    format_args!("p{plant}-gw-{sub}"),
+                    name.indexed(p, "-gw-", sub),
                     NodeRole::FieldGateway,
                     Zone::Field,
                 );
@@ -193,12 +247,10 @@ impl FleetSystem {
                 let count = (config.plcs_per_substation + jitter)
                     .saturating_sub(1)
                     .max(1);
+                let plc_prefix = name.indexed(p, "-plc-", sub).len();
                 for i in 0..count {
-                    let plc = net.add_node(
-                        format_args!("p{plant}-plc-{sub}-{i}"),
-                        NodeRole::Plc,
-                        Zone::Field,
-                    );
+                    let plc =
+                        net.add_node(name.indexed(plc_prefix, "-", i), NodeRole::Plc, Zone::Field);
                     net.connect(gw, plc);
                 }
                 gateways.push(gw);
@@ -334,6 +386,72 @@ mod tests {
             "field devices should be the majority: {plcs} of {}",
             net.node_count()
         );
+    }
+
+    /// Nodes, name bytes and links of a generated fleet.
+    fn plant_size(config: &FleetConfig) -> (usize, usize, usize) {
+        let net = FleetSystem::build(config).network().clone();
+        let name_bytes = net.node_ids().map(|id| net.name(id).len()).sum();
+        (net.node_count(), name_bytes, net.link_count())
+    }
+
+    #[test]
+    fn plant_bounds_cover_every_generated_fleet() {
+        let wide = FleetConfig {
+            plants: 12,
+            substations_per_plant: 11,
+            plcs_per_substation: 12,
+            offices_per_plant: 11,
+            ..FleetConfig::default()
+        };
+        let bare = FleetConfig {
+            plants: 3,
+            substations_per_plant: 1,
+            plcs_per_substation: 0,
+            offices_per_plant: 0,
+            ..FleetConfig::default()
+        };
+        for config in [
+            FleetConfig::default(),
+            FleetConfig::sized(1_000, 1),
+            FleetConfig::sized(20_000, 0xA110C),
+            wide,
+            bare,
+        ] {
+            let (nodes, name_bytes, links) = plant_size(&config);
+            let bounds = config.plant_bounds().unwrap();
+            assert!(nodes <= bounds.0, "{config:?}: {nodes} nodes");
+            assert!(
+                name_bytes <= bounds.1,
+                "{config:?}: {name_bytes} name bytes"
+            );
+            assert!(links <= bounds.2, "{config:?}: {links} links");
+        }
+        // On a sized fleet the bounds reserve less than a third more
+        // than the build uses.
+        let config = FleetConfig::sized(20_000, 0xA110C);
+        let (nodes, name_bytes, links) = plant_size(&config);
+        let (max_nodes, max_name_bytes, max_links) = config.plant_bounds().unwrap();
+        assert!(3 * max_nodes < 4 * nodes, "{max_nodes} for {nodes} nodes");
+        assert!(
+            3 * max_name_bytes < 4 * name_bytes,
+            "{max_name_bytes} for {name_bytes}"
+        );
+        assert!(3 * max_links < 4 * links, "{max_links} for {links} links");
+    }
+
+    #[test]
+    fn plant_bounds_past_usize_are_none() {
+        let huge = FleetConfig {
+            plants: usize::MAX / 2,
+            ..FleetConfig::default()
+        };
+        assert_eq!(huge.plant_bounds(), None);
+        let wide = FleetConfig {
+            plcs_per_substation: usize::MAX,
+            ..FleetConfig::default()
+        };
+        assert_eq!(wide.plant_bounds(), None);
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! `add_node` panics rather than let an id pass `u32::MAX` or the name
 //! bytes pass 4 GiB.
 //!
+//! The generators ([`crate::fleet`], [`crate::scope`]) size a plant's
+//! buffers once up front and copy each name's bytes straight into the
+//! name buffer, assembled in a reused `NameBuf` rather than through
+//! `core::fmt`; the public [`ScadaNetwork::add_node`] writes a name's
+//! `Display` output into the same buffer.
+//!
 //! Profile rewrites (diversity placement) do **not** invalidate the
 //! cache: the topology depends only on nodes and links.
 //!
@@ -301,12 +307,12 @@ impl Names {
         (0..self.len()).map(|i| self.get(i))
     }
 
-    /// Appends `name` as its `Display` writes it. Returns `false`, with
-    /// the buffer as it was, if the name would end past `u32::MAX`.
+    /// Appends the name `write` appends to the buffer. Returns `false`,
+    /// with the buffer as it was, if the name would end past `u32::MAX`.
     #[must_use]
-    fn push(&mut self, name: impl fmt::Display) -> bool {
+    fn push(&mut self, write: impl FnOnce(&mut String)) -> bool {
         let start = self.bytes.len();
-        write!(self.bytes, "{name}").expect("writing to a String cannot fail");
+        write(&mut self.bytes);
         match u32::try_from(self.bytes.len()) {
             Ok(end) => {
                 self.ends.push(end);
@@ -337,7 +343,7 @@ impl Deserialize for Names {
     fn from_json_value(v: &Value) -> Result<Self, serde::Error> {
         let mut names = Names::default();
         for name in Vec::<String>::from_json_value(v)? {
-            if !names.push(&name) {
+            if !names.push(|bytes| bytes.push_str(&name)) {
                 return Err(serde::Error::custom(
                     "node names exceed the 4 GiB name buffer",
                 ));
@@ -379,22 +385,43 @@ impl Clone for Plant {
 }
 
 impl Plant {
-    /// Adds a node named by `name`'s `Display` output and returns its
-    /// id. The name is written straight into the name buffer, so
-    /// `format_args!` names cost no allocation of their own.
+    /// An empty plant with room for `nodes` nodes whose names take
+    /// `name_bytes` bytes in all, and for `links` links: adding that
+    /// much never regrows a buffer.
+    pub(crate) fn with_capacity(nodes: usize, name_bytes: usize, links: usize) -> Self {
+        Plant {
+            names: Names {
+                bytes: String::with_capacity(name_bytes),
+                ends: Vec::with_capacity(nodes),
+            },
+            roles: Vec::with_capacity(nodes),
+            zones: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(links),
+            topo: OnceLock::new(),
+        }
+    }
+
+    /// Adds a node named `name` and returns its id; the name's bytes
+    /// are copied into the name buffer.
     ///
     /// # Panics
     ///
     /// Panics if the new id would exceed `u32::MAX`, or the name buffer
     /// `u32::MAX` bytes.
-    pub(crate) fn add_node(
+    pub(crate) fn add_node(&mut self, name: &str, role: NodeRole, zone: Zone) -> NodeId {
+        self.push_node(|bytes| bytes.push_str(name), role, zone)
+    }
+
+    /// Adds a node whose name `write_name` appends to the name buffer.
+    /// The one body behind both add-node paths.
+    fn push_node(
         &mut self,
-        name: impl fmt::Display,
+        write_name: impl FnOnce(&mut String),
         role: NodeRole,
         zone: Zone,
     ) -> NodeId {
         let id = NodeId::from_index(self.node_count());
-        if !self.names.push(name) {
+        if !self.names.push(write_name) {
             panic!("node names exceed the 4 GiB name buffer");
         }
         self.topo.take();
@@ -421,6 +448,40 @@ impl Plant {
     pub(crate) fn node_count(&self) -> usize {
         self.names.len()
     }
+}
+
+/// A node name assembled in one reused buffer without `core::fmt`:
+/// each name keeps a prefix of the one before and appends a new tail,
+/// so a generator writes a shared prefix such as `p{plant}-plc-{sub}`
+/// once and each name after it costs one short copy.
+#[derive(Debug, Default)]
+pub(crate) struct NameBuf(String);
+
+impl NameBuf {
+    /// Keeps the first `keep` bytes of the current name and appends
+    /// `tail`.
+    pub(crate) fn tail(&mut self, keep: usize, tail: &str) -> &str {
+        self.0.truncate(keep);
+        self.0.push_str(tail);
+        &self.0
+    }
+
+    /// Keeps the first `keep` bytes of the current name and appends
+    /// `tail`, then `n` in decimal.
+    pub(crate) fn indexed(&mut self, keep: usize, tail: &str, n: usize) -> &str {
+        self.0.truncate(keep);
+        self.0.push_str(tail);
+        push_decimal(&mut self.0, n);
+        &self.0
+    }
+}
+
+/// Appends `n` in decimal, as `{n}` would format it.
+fn push_decimal(out: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
 }
 
 /// The plant network graph: a shared plant (structure-of-arrays node
@@ -491,8 +552,10 @@ impl ScadaNetwork {
     }
 
     /// Adds a node named by `name`'s `Display` output (a `&str`, a
-    /// `String` or `format_args!`) and returns its id. On a clone, this
-    /// first detaches a private copy of the shared plant.
+    /// `String` or `format_args!`) and returns its id. The name is
+    /// written straight into the plant's name buffer, so it costs no
+    /// allocation of its own. On a clone, this first detaches a private
+    /// copy of the shared plant.
     ///
     /// # Panics
     ///
@@ -505,7 +568,9 @@ impl ScadaNetwork {
         zone: Zone,
         profile: ComponentProfile,
     ) -> NodeId {
-        let id = self.plant_mut().add_node(name, role, zone);
+        let write_name =
+            |bytes: &mut String| write!(bytes, "{name}").expect("writing to a String cannot fail");
+        let id = self.plant_mut().push_node(write_name, role, zone);
         self.profiles.push(profile);
         id
     }
@@ -530,6 +595,12 @@ impl ScadaNetwork {
     #[must_use]
     pub fn link_count(&self) -> usize {
         self.plant.links.len()
+    }
+
+    /// Every link, in the order `connect` added them.
+    #[must_use]
+    pub fn links(&self) -> &[Link] {
+        &self.plant.links
     }
 
     /// The derived CSR topology (flat neighbors + role index),
@@ -1158,6 +1229,45 @@ mod tests {
             assert_eq!(back.name(id), net.name(id));
         }
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn name_buf_writes_what_format_writes() {
+        let mut name = NameBuf::default();
+        for n in [0, 1, 9, 10, 11, 99, 100, 1_000_016, usize::MAX] {
+            assert_eq!(name.indexed(0, "p", n), format!("p{n}"));
+        }
+        let p = name.indexed(0, "p", 42).len();
+        assert_eq!(name.tail(p, "-hmi"), "p42-hmi");
+        let plc = name.indexed(p, "-plc-", 10).len();
+        assert_eq!(name.indexed(plc, "-", 9), "p42-plc-10-9");
+        assert_eq!(name.indexed(plc, "-", 10), "p42-plc-10-10");
+        assert_eq!(name.indexed(p, "-gw-", 3), "p42-gw-3");
+    }
+
+    #[test]
+    fn a_plant_filled_within_its_capacity_never_regrows() {
+        let mut plant = Plant::with_capacity(3, 9, 2);
+        let capacities = |p: &Plant| {
+            [
+                p.names.bytes.capacity(),
+                p.names.ends.capacity(),
+                p.roles.capacity(),
+                p.zones.capacity(),
+                p.links.capacity(),
+            ]
+        };
+        let before = capacities(&plant);
+        let a = plant.add_node("hmi", NodeRole::Hmi, Zone::ControlCenter);
+        let b = plant.add_node("plc-1", NodeRole::Plc, Zone::Field);
+        let c = plant.add_node("x", NodeRole::Plc, Zone::Field);
+        plant.connect(a, b);
+        plant.connect(a, c);
+        assert_eq!(capacities(&plant), before);
+        let net = ScadaNetwork::from_parts(plant, vec![profile(); 3]).unwrap();
+        let names: Vec<&str> = net.node_ids().map(|id| net.name(id)).collect();
+        assert_eq!(names, ["hmi", "plc-1", "x"]);
+        assert_eq!(net.neighbors(a), &[b, c]);
     }
 
     #[test]

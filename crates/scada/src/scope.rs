@@ -15,7 +15,7 @@
 
 use crate::components::ComponentProfile;
 use crate::device::{Actuator, ActuatorKind, MeasuredQuantity, Sensor};
-use crate::network::{NodeId, NodeRole, Plant, ScadaNetwork, Zone};
+use crate::network::{NameBuf, NodeId, NodeRole, Plant, ScadaNetwork, Zone};
 use crate::physics::{CoolingPlant, CracParams, RackParams};
 use crate::plc::{cooling_control_program, Plc};
 use diversify_des::{RngStream, StreamId};
@@ -91,12 +91,13 @@ impl ScopeSystem {
             "non-empty plant required"
         );
         let mut net = Plant::default();
+        let mut name = NameBuf::default();
 
         // Corporate zone.
         let office: Vec<NodeId> = (0..config.office_workstations)
             .map(|i| {
                 net.add_node(
-                    format_args!("office-{i}"),
+                    name.indexed(0, "office-", i),
                     NodeRole::OfficeWorkstation,
                     Zone::Corporate,
                 )
@@ -126,7 +127,7 @@ impl ScopeSystem {
         let gateways: Vec<NodeId> = (0..gateway_count)
             .map(|i| {
                 let g = net.add_node(
-                    format_args!("gateway-{i}"),
+                    name.indexed(0, "gateway-", i),
                     NodeRole::FieldGateway,
                     Zone::Field,
                 );
@@ -137,7 +138,7 @@ impl ScopeSystem {
             .collect();
         let plc_nodes: Vec<NodeId> = (0..config.cracs)
             .map(|i| {
-                let plc = net.add_node(format_args!("plc-{i}"), NodeRole::Plc, Zone::Field);
+                let plc = net.add_node(name.indexed(0, "plc-", i), NodeRole::Plc, Zone::Field);
                 net.connect(gateways[i / 2], plc);
                 plc
             })

@@ -29,6 +29,7 @@ use diversify_core::exec::MeasurementsAccum;
 use diversify_core::runner::Measurements;
 use diversify_des::exec::CancelToken;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 /// Supervision tuning for one sweep.
@@ -46,7 +47,9 @@ pub struct SweepOptions {
     pub max_shard_attempts: u32,
     /// First retry delay; doubles per attempt.
     pub backoff_base: Duration,
-    /// Ceiling on the retry delay.
+    /// Ceiling on the retry delay. A delay past what [`Instant`] can
+    /// represent (`Duration::MAX`) quarantines the shard at its first
+    /// failure: its retry would never come due.
     pub backoff_cap: Duration,
     /// How long to wait for in-flight shards to drain after a cancel
     /// or deadline before declaring them lost. A grace past what
@@ -256,8 +259,31 @@ impl Coordinator {
 
     /// Runs `shards` to terminal states and reports. Shard ids must be
     /// unique within the call. Always returns — every shard ends
-    /// `Completed`, `Quarantined`, `Cancelled`, or `DeadlineExpired`.
+    /// `Completed`, `Quarantined`, `Cancelled`, or `DeadlineExpired` —
+    /// unless a caller's [`Channel`] panics. Then every worker still
+    /// holding one of the sweep's leases is declared dead, as after a
+    /// corrupt frame, before the panic propagates: a later sweep must
+    /// never take a stale shard's report for its own shard of the same
+    /// id.
     pub fn run_sweep(&mut self, shards: Vec<ShardSpec>) -> SweepReport {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| self.sweep(shards))) {
+            Ok(report) => report,
+            Err(panic) => {
+                for entry in &mut self.workers {
+                    if entry
+                        .as_ref()
+                        .is_some_and(|slot| matches!(slot.state, SlotState::Busy { .. }))
+                    {
+                        declare_dead(entry);
+                    }
+                }
+                std::panic::resume_unwind(panic)
+            }
+        }
+    }
+
+    /// The body of [`Self::run_sweep`].
+    fn sweep(&mut self, shards: Vec<ShardSpec>) -> SweepReport {
         let started = Instant::now();
         let mut pending: VecDeque<Task> = shards
             .into_iter()
@@ -554,8 +580,8 @@ fn bounced(mut task: Task, message: String) -> Task {
 }
 
 /// Files a failed task: back into the queue with backoff, or into
-/// quarantine when its attempts are spent (or the sweep is winding
-/// down).
+/// quarantine when its attempts are spent or its retry time is past
+/// what [`Instant`] can represent (or the sweep is winding down).
 fn requeue(
     pending: &mut VecDeque<Task>,
     health: &mut BTreeMap<u32, ShardHealth>,
@@ -576,8 +602,15 @@ fn requeue(
     let delay = base
         .checked_mul(1u32 << exponent)
         .map_or(cap, |d| d.min(cap));
-    task.not_before = Instant::now() + delay;
-    pending.push_back(task);
+    match Instant::now().checked_add(delay) {
+        Some(not_before) => {
+            task.not_before = not_before;
+            pending.push_back(task);
+        }
+        // A retry that can never come due, as `Duration::MAX` backoff
+        // asks for.
+        None => resolve_quarantined(health, task),
+    }
 }
 
 /// Accepts a `Done` report: file the clean prefix, then complete,
@@ -932,6 +965,34 @@ mod tests {
             .health
             .iter()
             .all(|h| h.state == ShardState::Cancelled));
+    }
+
+    #[test]
+    fn an_unrepresentable_backoff_quarantines_instead_of_panicking() {
+        silence_injected_panics();
+        // Replication 0 always panics, so the shard's first attempt
+        // fails; its retry would be due `Duration::MAX` from now.
+        let faults = Arc::new(FaultPlan::none(6).with_fault(0, FaultKind::Panic));
+        let (channels, _handles) = spawn_workers(vec![WorkerOptions {
+            faults: Some(faults),
+            ..WorkerOptions::default()
+        }]);
+        let mut coordinator = Coordinator::new(
+            channels,
+            SweepOptions {
+                backoff_base: Duration::MAX,
+                backoff_cap: Duration::MAX,
+                ..sweep_options()
+            },
+        );
+        let report = coordinator.run_sweep(vec![shard(0, 0, 2)]);
+        assert!(report.is_degraded());
+        assert_eq!(report.health[0].attempts, 1);
+        assert!(
+            matches!(report.health[0].state, ShardState::Quarantined { .. }),
+            "state: {:?}",
+            report.health[0].state
+        );
     }
 
     #[test]

@@ -528,11 +528,15 @@ mod tests {
     }
 
     fn reference(batches: u32) -> Measurements {
+        reference_at(batches, SEED, Executor::default())
+    }
+
+    fn reference_at(batches: u32, seed: u64, executor: Executor) -> Measurements {
         let scope = ScopeConfig::default();
         let system = ScopeSystem::build(&scope);
         let sim = CampaignSimulator::new(system.network(), ThreatModel::stuxnet_like(), CAMPAIGN);
-        let plan = campaign_plan(batches, BATCH_SIZE, SEED);
-        Executor::default().run_ws(
+        let plan = campaign_plan(batches, BATCH_SIZE, seed);
+        executor.run_ws(
             &plan,
             || sim.workspace(),
             |ws, rep| sim.run_into(ws, rep.seed),
@@ -761,6 +765,70 @@ mod tests {
         assert_identical(response.measurements.as_ref().unwrap(), &reference(2));
         drop(service);
         worker.join().unwrap();
+    }
+
+    /// A caller's channel that panics on its first receive, then
+    /// forwards.
+    struct PanicsOnFirstRecv<C> {
+        inner: C,
+        received: bool,
+    }
+
+    impl<C: Channel> Channel for PanicsOnFirstRecv<C> {
+        fn send(&mut self, frame: &[u8]) -> Result<(), ChannelError> {
+            self.inner.send(frame)
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>, ChannelError> {
+            if !std::mem::replace(&mut self.received, true) {
+                std::panic::panic_any(InjectedPanic { index: 0 });
+            }
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
+    #[test]
+    fn a_sweep_that_unwinds_leaves_no_lease_to_the_next_request() {
+        silence_injected_panics();
+        // Both workers hold a shard of the first request when the
+        // second one's channel panics in the coordinator's poll.
+        let (healthy, healthy_side) = loopback_pair();
+        let (flaky, flaky_side) = loopback_pair();
+        let workers = [healthy_side, flaky_side]
+            .map(|side| std::thread::spawn(move || run_worker(side, &WorkerOptions::default())));
+        let flaky = PanicsOnFirstRecv {
+            inner: flaky,
+            received: false,
+        };
+        let service = IndicatorService::with_channels(
+            vec![Box::new(healthy), Box::new(flaky)],
+            service_options(),
+        );
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.request(&request(2))
+        }));
+        assert!(unwound.is_err(), "the channel's panic reaches the caller");
+
+        let next = IndicatorRequest {
+            seed: SEED ^ 1,
+            ..request(2)
+        };
+        let first_answer = format!("{:?}", reference_at(2, SEED, Executor::serial()));
+        let own = reference_at(2, SEED ^ 1, Executor::serial());
+        // The repeat would replay whatever the first call memoized.
+        for _ in 0..2 {
+            let response = service.request(&next);
+            if let Some(measurements) = &response.measurements {
+                assert_ne!(format!("{measurements:?}"), first_answer);
+            }
+            if !response.degraded {
+                assert_identical(response.measurements.as_ref().unwrap(), &own);
+            }
+        }
+        drop(service);
+        for worker in workers {
+            worker.join().unwrap();
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! show that the new arithmetic returns the old indexes. These paths
 //! use only integer RNG arithmetic and basic IEEE operations (no libm
 //! calls), so the pins hold on any x86_64 host.
+//!
+//! The generated plants are pinned too: one FNV-1a digest over every
+//! node's name bytes, role, zone and profile and every link's
+//! endpoints, in order, for the SCoPE plant and for fleets from 10^3 to
+//! 10^6 nodes, recorded while names still went through `core::fmt`.
 
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, CampaignStats, ThreatModel};
 use diversify::attack::AttackStage::{self, DeviceImpairment, NetworkPropagation};
@@ -155,5 +160,95 @@ fn full_rotation_fleet_trajectories_match_their_pins() {
         ThreatModel::stuxnet_like(),
         window,
         &FLEET_FULL_ROTATION,
+    );
+}
+
+/// FNV-1a, folded a byte at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, x: u32) {
+        self.bytes(&x.to_le_bytes());
+    }
+}
+
+/// `(node count, link count, digest)` of a generated plant. The digest
+/// folds, per node in id order, the name's length and bytes, the role
+/// and zone indexes and the six profile variants, then both endpoints
+/// of every link in insertion order.
+fn plant_pin(net: &ScadaNetwork) -> (usize, usize, u64) {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for id in net.node_ids() {
+        let name = net.name(id);
+        h.word(name.len() as u32);
+        h.bytes(name.as_bytes());
+        let p = net.profile(id);
+        h.bytes(&[
+            net.role(id).index() as u8,
+            net.zone(id).index() as u8,
+            p.os as u8,
+            p.plc_firmware as u8,
+            p.dialect as u8,
+            p.firewall as u8,
+            p.sensor as u8,
+            p.historian as u8,
+        ]);
+    }
+    for link in net.links() {
+        h.word(link.a.index() as u32);
+        h.word(link.b.index() as u32);
+    }
+    (net.node_count(), net.link_count(), h.0)
+}
+
+fn fleet_pin(config: &FleetConfig) -> (usize, usize, u64) {
+    plant_pin(FleetSystem::build(config).network())
+}
+
+#[test]
+fn scope_plant_matches_its_pin() {
+    assert_eq!(plant_pin(&scope_network()), (12, 16, 0x12e9_4073_d480_52f7));
+}
+
+#[test]
+fn sized_fleet_plants_match_their_pins() {
+    assert_eq!(
+        fleet_pin(&FleetConfig::sized(1_000, 1)),
+        (1031, 1185, 0xaa45_39bd_2cdb_bcae)
+    );
+    assert_eq!(
+        fleet_pin(&FleetConfig::sized(20_000, 0xA110C)),
+        (19_971, 23_053, 0x3fdc_ab44_7e11_b12a)
+    );
+}
+
+/// Every decimal field of a node name crosses a digit boundary: plant,
+/// office, substation and PLC indexes all pass 9.
+#[test]
+fn wide_fleet_plant_matches_its_pin() {
+    let config = FleetConfig {
+        plants: 12,
+        substations_per_plant: 11,
+        plcs_per_substation: 12,
+        offices_per_plant: 11,
+        seed: 0xD161,
+        baseline_profile: ComponentProfile::hardened(),
+    };
+    assert_eq!(fleet_pin(&config), (1873, 2178, 0xd2ca_104a_0039_24b7));
+}
+
+/// The `fleet_point` plant.
+#[test]
+fn million_node_fleet_plant_matches_its_pin() {
+    assert_eq!(
+        fleet_pin(&FleetConfig::sized(1_000_000, 1)),
+        (1_000_016, 1_154_857, 0x6fb6_cc9c_2b8e_df2c)
     );
 }

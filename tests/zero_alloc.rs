@@ -169,8 +169,8 @@ fn fleet_scale_campaign_is_allocation_free_after_warmup() {
 }
 
 /// Building a fleet writes every node name into the plant's one name
-/// buffer, so the build allocates per plant (its id lists), not per
-/// node: a `String` per name would cost at least one allocation each.
+/// buffer, so no node costs an allocation of its own: a `String` per
+/// name would cost at least one allocation each.
 #[test]
 fn fleet_build_does_not_allocate_per_node() {
     use diversify::scada::fleet::{FleetConfig, FleetSystem};
@@ -183,6 +183,26 @@ fn fleet_build_does_not_allocate_per_node() {
         delta < nodes / 4,
         "building a {nodes}-node fleet allocated {delta} times"
     );
+}
+
+/// `FleetSystem::build` sizes the plant's name bytes, name ends,
+/// roles, zones and links once from its configuration, so a build
+/// allocates a fixed number of times at any fleet size; growing the
+/// buffers as nodes arrive took 75 and 91 allocations here.
+#[test]
+fn fleet_build_allocations_do_not_grow_with_the_fleet() {
+    use diversify::scada::fleet::{FleetConfig, FleetSystem};
+    for target in [20_000, 200_000] {
+        let config = FleetConfig::sized(target, 0xA110C);
+        let before = allocations();
+        let fleet = FleetSystem::build(&config);
+        let delta = allocations() - before;
+        assert!(
+            delta <= 16,
+            "building a {}-node fleet allocated {delta} times",
+            fleet.network().node_count()
+        );
+    }
 }
 
 /// The simulator's probability tables hold one entry per node class
