@@ -25,7 +25,13 @@
 //! what a dense ascending scan with visit-time eligibility checks
 //! produces, so the engine stays **bit-identical** to
 //! [`CampaignSimulator::run_reference`] — the dense oracle kept alive
-//! precisely to prove that (`tests/frontier_differential.rs`).
+//! precisely to prove that (`tests/frontier_differential.rs`). Each
+//! sweep's [`Cursor`](crate::frontier::Cursor) caches its current
+//! bitset word, so it must re-read that word (`resync`) wherever the
+//! sweep changes its own set ahead of it: the lateral sweep after each
+//! infection, which can saturate a later source, and the payload sweep
+//! after each delivery, which can make a neighboring PLC eligible. The
+//! escalation sweep removes only the node it visits and needs none.
 //!
 //! One model-semantics change accompanied this engine (PR 6): a rooted
 //! node whose neighbors are all compromised no longer makes lateral
@@ -866,10 +872,11 @@ impl<'n> CampaignSimulator<'n> {
     /// remain readable from the workspace until the next replication.
     ///
     /// The trajectory is a pure function of `seed`: the active sets are
-    /// traversed in ascending id order with a cursor, which reproduces
-    /// exactly the draw schedule of a dense ascending scan that checks
-    /// eligibility at visit time, so `run_into` is bit-identical to
-    /// [`CampaignSimulator::run_reference`] and
+    /// traversed in ascending id order with cached-word cursors that
+    /// re-read their word after each change ahead of them, which
+    /// reproduces exactly the draw schedule of a dense ascending scan
+    /// that checks eligibility at visit time, so `run_into` is
+    /// bit-identical to [`CampaignSimulator::run_reference`] and
     /// [`CampaignSimulator::run`].
     #[must_use]
     pub fn run_into(&self, ws: &mut CampaignWorkspace, seed: u64) -> CampaignStats {
@@ -893,7 +900,10 @@ impl<'n> CampaignSimulator<'n> {
     /// come from the precomputed [`ProbTables`], read through the
     /// node's class once per visit, lateral draws from the
     /// per-degree [`IndexDraw`]s (the same indexes `RngStream::index`
-    /// returns) and the goal test from the precomputed PLC count.
+    /// returns) and the goal test from the precomputed PLC count. Each
+    /// sweep walks its set with a cached-word cursor; the lateral sweep
+    /// resyncs it after an infection and the payload sweep after a
+    /// delivery (see the module docs).
     fn step_tick(&self, ws: &mut CampaignWorkspace, pr: &mut Progress, rng: &mut RngStream) {
         let probs = &self.tables;
         let net = self.network;
@@ -939,12 +949,11 @@ impl<'n> CampaignSimulator<'n> {
         // Stage: privilege escalation on infected nodes. Cursor
         // traversal visits each node Infected at stage entry once, in
         // ascending id order — the dense scan's draw order. A node
-        // that escalates leaves the set (behind the cursor) and joins
-        // the lateral structures.
+        // that escalates leaves the set (the index just visited, so the
+        // cursor needs no resync) and joins the lateral structures.
         {
-            let mut cursor = 0;
-            while let Some(i) = infected.next_at_or_after(cursor) {
-                cursor = i + 1;
+            let mut cursor = infected.cursor();
+            while let Some(i) = cursor.next(infected) {
                 let id = NodeId::from_index(i);
                 if rng.bernoulli(probs.class(i).escalation) {
                     states[i] = NodeCompromise::Rooted;
@@ -968,13 +977,14 @@ impl<'n> CampaignSimulator<'n> {
         // Stage: lateral propagation from the frontier — rooted nodes
         // that still have a clean neighbor. A source saturated by an
         // earlier source this tick has already left the set, exactly
-        // as the dense scan's visit-time eligibility check skips it.
-        // When the last node leaves Clean every source saturates, so
-        // the frontier empties itself and the stage disappears.
+        // as the dense scan's visit-time eligibility check skips it;
+        // since an infection can saturate a source in the cursor's
+        // word, the cursor re-reads that word after each one. When the
+        // last node leaves Clean every source saturates, so the
+        // frontier empties itself and the stage disappears.
         if pr.clean > 0 {
-            let mut cursor = 0;
-            while let Some(s) = frontier.next_at_or_after(cursor) {
-                cursor = s + 1;
+            let mut cursor = frontier.cursor();
+            while let Some(s) = cursor.next(frontier) {
                 let neighbors = topo.neighbors(NodeId::from_index(s));
                 let src = probs.class(s);
                 // A frontier node has a clean neighbor, so `len() >= 1`.
@@ -1010,6 +1020,7 @@ impl<'n> CampaignSimulator<'n> {
                             dirty_states,
                             dirty_degrees,
                         );
+                        cursor.resync(frontier);
                         pr.deepest = pr.deepest.max(AttackStage::NetworkPropagation);
                     }
                 }
@@ -1021,11 +1032,11 @@ impl<'n> CampaignSimulator<'n> {
         // draw for: payload-capable, not yet reprogrammed, rooted
         // self-or-neighbor. A PLC whose neighbor is reprogrammed
         // mid-stage joins at its id — visited this tick iff the
-        // cursor has not passed it, matching the dense ascending scan.
+        // cursor has not passed it, matching the dense ascending scan;
+        // the cursor re-reads its word after each delivery to see it.
         {
-            let mut cursor = 0;
-            while let Some(pi) = eligible.next_at_or_after(cursor) {
-                cursor = pi + 1;
+            let mut cursor = eligible.cursor();
+            while let Some(pi) = cursor.next(eligible) {
                 let plc = NodeId::from_index(pi);
                 if rng.bernoulli(probs.class(pi).payload) {
                     let prev = states[pi];
@@ -1057,6 +1068,7 @@ impl<'n> CampaignSimulator<'n> {
                         eligible,
                         &mut pr.data_rooted,
                     );
+                    cursor.resync(eligible);
                     pr.deepest = pr.deepest.max(AttackStage::DeviceImpairment);
                 } else {
                     pr.payload_failures += 1;

@@ -8,24 +8,27 @@
 //! node. [`ActiveSet`] is a three-level bitset instead: level 0 holds
 //! one bit per index, level 1 one bit per level-0 word, level 2 one bit
 //! per level-1 word. At 10^6 indexes the summary levels total ~250
-//! words, so [`ActiveSet::next_at_or_after`] skips empty regions in a
-//! handful of word reads and a sparse set traverses in time proportional
-//! to its population.
+//! words, so a traversal skips empty regions in a handful of word reads
+//! and a sparse set traverses in time proportional to its population.
 //!
 //! Traversal is cursor-based on purpose: the campaign engine mutates the
 //! set mid-iteration (nodes saturate out of the frontier, PLCs become
-//! payload-eligible), and `next_at_or_after(cursor)` makes the
-//! visit-or-skip rule explicit — mutations behind the cursor are not
-//! revisited, mutations ahead of it are seen this pass, exactly the
-//! semantics of a dense ascending scan that re-checks eligibility at
-//! visit time.
+//! payload-eligible), and a [`Cursor`] makes the visit-or-skip rule
+//! explicit — mutations behind the cursor are not revisited, mutations
+//! ahead of it are seen this pass, exactly the semantics of a dense
+//! ascending scan that re-checks eligibility at visit time.
 //!
-//! `next_at_or_after` is split for the tick loop that calls it once per
-//! visit: an inlined fast path reads only the cursor's level-0 word and
-//! returns the next member in it, or `None` when that word is the set's
-//! last (every traversal of a plant of at most 64 nodes ends there). Only
-//! when the word is exhausted and others follow does it call the
-//! out-of-line, `#[cold]` summary climb through levels 1 and 2.
+//! A [`Cursor`] caches the unvisited members of its current level-0
+//! word, so a visit costs a `tzcnt` and a bit-clear. Only a spent word
+//! sends it up through levels 1 and 2, in an out-of-line, `#[cold]`
+//! climb that reads the summaries as they stand; a traversal that ends
+//! in the set's last word (every traversal of a plant of at most 64
+//! nodes) never takes it. The cached word is a copy: after an insert or
+//! a remove that may land in the cursor's word ahead of it, the caller
+//! calls [`Cursor::resync`] to re-read that word. Removing the index
+//! just visited needs none. Debug builds assert at every advance that
+//! the cache equals the live word above the cursor, so a forgotten
+//! resync panics there.
 
 /// Bits of `word` strictly above `bit`.
 fn after_mask(bit: usize) -> u64 {
@@ -148,59 +151,59 @@ impl ActiveSet {
         }
     }
 
-    /// The smallest member `>= from`, or `None`. The traversal idiom is
+    /// A cursor before the set's smallest index. The traversal idiom is
     ///
     /// ```
     /// # use diversify_attack::frontier::ActiveSet;
-    /// # let mut set = ActiveSet::with_capacity(100);
-    /// # set.insert(3);
-    /// let mut cursor = 0;
-    /// while let Some(i) = set.next_at_or_after(cursor) {
-    ///     cursor = i + 1;
-    ///     // visit i; inserts/removes at any position are fine here
+    /// let mut set = ActiveSet::with_capacity(100);
+    /// set.insert(3);
+    /// set.insert(70);
+    /// let mut visited = Vec::new();
+    /// let mut cursor = set.cursor();
+    /// while let Some(i) = cursor.next(&set) {
+    ///     visited.push(i);
+    ///     set.remove(i); // the visited index: no resync needed
+    ///     if i == 3 {
+    ///         set.insert(5); // ahead of the cursor: visited this pass
+    ///         set.insert(1); // behind it: not
+    ///         cursor.resync(&set);
+    ///     }
     /// }
+    /// assert_eq!(visited, [3, 5, 70]);
+    /// assert!(set.contains(1));
     /// ```
-    #[inline]
     #[must_use]
-    pub fn next_at_or_after(&self, from: usize) -> Option<usize> {
-        // Bits at or above `capacity` are never set, so a `from` past it
-        // finds nothing in its word, or has no word at all.
-        let w0 = from / 64;
-        let bits = *self.l0.get(w0)? & (!0u64 << (from % 64));
-        if bits != 0 {
-            return Some(w0 * 64 + bits.trailing_zeros() as usize);
+    pub fn cursor(&self) -> Cursor {
+        Cursor {
+            word: 0,
+            ahead: !0,
+            bits: self.l0.first().copied().unwrap_or(0),
         }
-        if self.len == 0 || w0 + 1 == self.l0.len() {
-            return None;
-        }
-        self.next_after_word(w0)
     }
 
-    /// The smallest member in a level-0 word after `w0`: the summary
-    /// climb of [`ActiveSet::next_at_or_after`] once the cursor's word
-    /// is exhausted, kept out of line so the caller's fast path stays
-    /// small.
-    #[cold]
-    fn next_after_word(&self, w0: usize) -> Option<usize> {
+    /// The first non-empty level-0 word after `w0`, found through the
+    /// summary levels.
+    fn next_word_after(&self, w0: usize) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
         let w1 = w0 / 64;
         let bits1 = self.l1[w1] & after_mask(w0 % 64);
-        let next_w0 = if bits1 != 0 {
-            w1 * 64 + bits1.trailing_zeros() as usize
+        if bits1 != 0 {
+            return Some(w1 * 64 + bits1.trailing_zeros() as usize);
+        }
+        let w2 = w1 / 64;
+        let bits2 = self.l2[w2] & after_mask(w1 % 64);
+        let next_w1 = if bits2 != 0 {
+            w2 * 64 + bits2.trailing_zeros() as usize
         } else {
-            let w2 = w1 / 64;
-            let bits2 = self.l2[w2] & after_mask(w1 % 64);
-            let next_w1 = if bits2 != 0 {
-                w2 * 64 + bits2.trailing_zeros() as usize
-            } else {
-                let (off, word) = self.l2[w2 + 1..]
-                    .iter()
-                    .enumerate()
-                    .find(|(_, &w)| w != 0)?;
-                (w2 + 1 + off) * 64 + word.trailing_zeros() as usize
-            };
-            next_w1 * 64 + self.l1[next_w1].trailing_zeros() as usize
+            let (off, word) = self.l2[w2 + 1..]
+                .iter()
+                .enumerate()
+                .find(|(_, &w)| w != 0)?;
+            (w2 + 1 + off) * 64 + word.trailing_zeros() as usize
         };
-        Some(next_w0 * 64 + self.l0[next_w0].trailing_zeros() as usize)
+        Some(next_w1 * 64 + self.l1[next_w1].trailing_zeros() as usize)
     }
 
     /// Empties the set by walking the summary hierarchy — cost is
@@ -226,20 +229,81 @@ impl ActiveSet {
     }
 }
 
+/// An ascending traversal of an [`ActiveSet`] (see
+/// [`ActiveSet::cursor`]). It holds no borrow, so the set may change
+/// between visits; it caches the unvisited members of its current
+/// level-0 word, which [`Cursor::resync`] re-reads.
+#[derive(Debug, Clone)]
+pub struct Cursor {
+    /// The level-0 word the cursor stands in.
+    word: usize,
+    /// Bits of `word` above the last visit in it; all of them before
+    /// the first.
+    ahead: u64,
+    /// Members of `word` under `ahead`, as of the last read of the word.
+    bits: u64,
+}
+
+impl Cursor {
+    /// Visits the smallest member above the last visit, or returns
+    /// `None` once the set holds none. Words after the cursor's are read
+    /// as they stand; its own word as of its last read.
+    #[inline]
+    pub fn next(&mut self, set: &ActiveSet) -> Option<usize> {
+        debug_assert_eq!(
+            self.bits,
+            self.live_bits(set),
+            "the set changed ahead of the cursor in its word without a resync"
+        );
+        if self.bits == 0 {
+            if self.word + 1 >= set.l0.len() {
+                return None;
+            }
+            self.climb(set)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.ahead = !(self.bits ^ (self.bits - 1));
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + bit)
+    }
+
+    /// Re-reads the cursor's word, so inserts and removes in it ahead of
+    /// the cursor are seen.
+    #[inline]
+    pub fn resync(&mut self, set: &ActiveSet) {
+        self.bits = self.live_bits(set);
+    }
+
+    /// The members of the cursor's word above it, as the set stands.
+    #[inline]
+    fn live_bits(&self, set: &ActiveSet) -> u64 {
+        set.l0.get(self.word).map_or(0, |&w| w & self.ahead)
+    }
+
+    /// Moves to the next non-empty word once the cursor's is spent: the
+    /// summary climb, kept out of line so the visit path stays small.
+    #[cold]
+    fn climb(&mut self, set: &ActiveSet) -> Option<()> {
+        self.word = set.next_word_after(self.word)?;
+        self.ahead = !0;
+        self.bits = set.l0[self.word];
+        Some(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use diversify_des::{RngStream, StreamId};
     use std::collections::BTreeSet;
 
+    /// The rest of a traversal.
+    fn drain(cursor: &mut Cursor, set: &ActiveSet) -> Vec<usize> {
+        std::iter::from_fn(|| cursor.next(set)).collect()
+    }
+
     fn collect(set: &ActiveSet) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut cursor = 0;
-        while let Some(i) = set.next_at_or_after(cursor) {
-            out.push(i);
-            cursor = i + 1;
-        }
-        out
+        drain(&mut set.cursor(), set)
     }
 
     #[test]
@@ -268,9 +332,17 @@ mod tests {
             set.insert(i);
         }
         assert_eq!(collect(&set), ids);
-        assert_eq!(set.next_at_or_after(65), Some(127));
-        assert_eq!(set.next_at_or_after(4097), Some(262_143));
-        assert_eq!(set.next_at_or_after(262_145), None);
+        // Words after the cursor's are read as they stand when the
+        // cursor reaches them, so changes there need no resync.
+        let mut cursor = set.cursor();
+        assert_eq!(cursor.next(&set), Some(0));
+        set.insert(200);
+        set.remove(4095);
+        set.insert(262_145);
+        assert_eq!(
+            drain(&mut cursor, &set),
+            [1, 63, 64, 127, 200, 4096, 262_143, 262_144, 262_145]
+        );
     }
 
     #[test]
@@ -281,7 +353,9 @@ mod tests {
         set.remove(262_200);
         // If the l1/l2 bits were left stale, traversal would dive into an
         // empty region and panic or loop; it must cleanly find nothing.
-        assert_eq!(set.next_at_or_after(6), None);
+        let mut cursor = set.cursor();
+        assert_eq!(cursor.next(&set), Some(5));
+        assert_eq!(cursor.next(&set), None);
         assert_eq!(collect(&set), vec![5]);
     }
 
@@ -293,7 +367,7 @@ mod tests {
         }
         set.clear();
         assert!(set.is_empty());
-        assert_eq!(set.next_at_or_after(0), None);
+        assert_eq!(collect(&set), []);
         set.insert(42);
         assert_eq!(collect(&set), vec![42]);
     }
@@ -309,13 +383,15 @@ mod tests {
         }
     }
 
-    /// [`ActiveSet`] against a `BTreeSet` model at capacities on and
-    /// around every word and summary boundary, sparse and dense. After
-    /// random inserts and removes the contents and range queries agree;
-    /// then a cursor traversal mutates the set as it goes (removing the
-    /// visited index, inserting and removing both ahead of and behind the
-    /// cursor), and each visit must be the documented one: the smallest
-    /// member at or after the cursor in the set as it stands.
+    /// [`ActiveSet`] and its [`Cursor`] against a `BTreeSet` model at
+    /// capacities on and around every word and summary boundary, sparse
+    /// and dense. After random inserts and removes, a cursor traversal
+    /// mutates the set as it goes: it sometimes removes the visited
+    /// index alone, which needs no resync, and otherwise also inserts and
+    /// removes ahead of and behind the cursor, then resyncs. Each visit
+    /// must be the documented one: the smallest member above the last
+    /// visit in the set as it stands. In debug builds every advance also
+    /// checks the cached word against the set.
     #[test]
     fn matches_btreeset_under_random_operations() {
         let mut rng = RngStream::new(0xB17, StreamId(1));
@@ -327,48 +403,60 @@ mod tests {
                     let i = rng.index(cap);
                     apply(&mut set, &mut model, i, rng.bernoulli(0.6));
                 }
-                let mut cursor = 0;
+                let mut cursor = set.cursor();
+                let mut next = 0;
                 loop {
-                    let next = set.next_at_or_after(cursor);
+                    let visit = cursor.next(&set);
                     assert_eq!(
-                        next,
-                        model.range(cursor..).next().copied(),
-                        "cap {cap}, cursor {cursor}"
+                        visit,
+                        model.range(next..).next().copied(),
+                        "cap {cap}, next {next}"
                     );
-                    let Some(i) = next else { break };
-                    cursor = i + 1;
+                    let Some(i) = visit else { break };
+                    next = i + 1;
                     if rng.bernoulli(0.5) {
                         apply(&mut set, &mut model, i, false);
                     }
-                    if cursor < cap {
-                        let ahead = cursor + rng.index(cap - cursor);
+                    if rng.bernoulli(0.25) {
+                        continue;
+                    }
+                    if next < cap {
+                        let ahead = next + rng.index(cap - next);
                         apply(&mut set, &mut model, ahead, rng.bernoulli(0.3));
                     }
                     if i > 0 {
                         let behind = rng.index(i);
                         apply(&mut set, &mut model, behind, rng.bernoulli(0.5));
                     }
+                    cursor.resync(&set);
                 }
                 assert_eq!(set.len(), model.len());
                 assert_eq!(collect(&set), model.iter().copied().collect::<Vec<_>>());
-                // Spot-check next_at_or_after against the model's range
-                // query, including cursors past the capacity.
-                for _ in 0..200 {
-                    let from = rng.index(cap + 70);
-                    assert_eq!(
-                        set.next_at_or_after(from),
-                        model.range(from..).next().copied(),
-                        "cap {cap}, from {from}"
-                    );
-                }
             }
         }
+    }
+
+    /// A change ahead of the cursor in its word that is not followed by
+    /// a resync trips the debug assertion at the next advance.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "without a resync")]
+    fn forgotten_resync_panics_in_debug_builds() {
+        let mut set = ActiveSet::with_capacity(100);
+        set.insert(3);
+        let mut cursor = set.cursor();
+        assert_eq!(cursor.next(&set), Some(3));
+        set.insert(5);
+        let _ = cursor.next(&set);
     }
 
     #[test]
     fn zero_capacity_is_inert() {
         let set = ActiveSet::with_capacity(0);
-        assert_eq!(set.next_at_or_after(0), None);
+        let mut cursor = set.cursor();
+        assert_eq!(cursor.next(&set), None);
+        cursor.resync(&set);
+        assert_eq!(cursor.next(&set), None);
         assert!(set.is_empty());
     }
 

@@ -245,6 +245,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the id is out of range.
+    #[inline]
     #[must_use]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
         let i = id.index();
@@ -256,6 +257,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the id is out of range.
+    #[inline]
     #[must_use]
     pub fn degree(&self, id: NodeId) -> usize {
         let i = id.index();
@@ -630,6 +632,7 @@ impl ScadaNetwork {
     /// # Panics
     ///
     /// Panics if the id is out of range.
+    #[inline]
     #[must_use]
     pub fn role(&self, id: NodeId) -> NodeRole {
         self.plant.roles[id.index()]

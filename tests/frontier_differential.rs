@@ -9,9 +9,12 @@
 //! the hand-built SCoPE network and randomized generated fleets, the
 //! latter diversified so that nodes carry different profiles and the
 //! simulator's per-node tables are checked against the oracle's live
-//! catalog evaluation where they differ.
+//! catalog evaluation where they differ, and over a hand-built plant of
+//! daisy-chained PLCs, where a payload delivery makes the next PLC of
+//! its chain eligible within the same sweep.
 
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
+use diversify::attack::stage::AttackStage;
 use diversify::des::{RngStream, StreamId};
 use diversify::diversity::config::DiversityConfig;
 use diversify::diversity::placement::{apply_placement, PlacementStrategy};
@@ -19,7 +22,7 @@ use diversify::scada::components::{
     ComponentClass, ComponentProfile, FirewallPolicy, OsVariant, PlcFirmware,
 };
 use diversify::scada::fleet::{FleetConfig, FleetSystem};
-use diversify::scada::network::ScadaNetwork;
+use diversify::scada::network::{NodeId, NodeRole, ScadaNetwork, Zone};
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 use diversify::scada::ProtocolDialect;
 use proptest::prelude::*;
@@ -138,6 +141,94 @@ fn frontier_matches_reference_past_256_node_classes() {
         ThreatModel::flame_like(),
     ] {
         assert_paths_agree(&net, threat, campaign, &[0, 1]);
+    }
+}
+
+/// A 97-node plant whose field zone is three daisy chains of 30 PLCs,
+/// each behind its own gateway: an office workstation reaches the
+/// historian, which sits in a triangle with the HMI and the engineering
+/// workstation, and both of those reach every gateway. The chains
+/// interleave their ids with stride 3 across the 64-id boundary of the
+/// sets' first bitset word. Two are wired up the ids from their gateway
+/// and one down, so a PLC reprogrammed mid-sweep makes a chain neighbor
+/// eligible both ahead of the payload cursor, in its word and in the
+/// next one, and behind it. No shipped topology links one PLC to
+/// another.
+fn plc_chain_network() -> ScadaNetwork {
+    let mut net = ScadaNetwork::new();
+    let p = ComponentProfile::default();
+    let office = net.add_node("office", NodeRole::OfficeWorkstation, Zone::Corporate, p);
+    let historian = net.add_node("historian", NodeRole::Historian, Zone::ControlCenter, p);
+    let hmi = net.add_node("hmi", NodeRole::Hmi, Zone::ControlCenter, p);
+    let eng = net.add_node(
+        "engineering",
+        NodeRole::EngineeringWorkstation,
+        Zone::ControlCenter,
+        p,
+    );
+    net.connect(office, historian);
+    net.connect(historian, hmi);
+    net.connect(hmi, eng);
+    net.connect(eng, historian);
+    let gateways: Vec<NodeId> = (0..3)
+        .map(|g| {
+            let gw = net.add_node(
+                format_args!("gw-{g}"),
+                NodeRole::FieldGateway,
+                Zone::Field,
+                p,
+            );
+            net.connect(hmi, gw);
+            net.connect(eng, gw);
+            gw
+        })
+        .collect();
+    let plcs: Vec<NodeId> = (0..90)
+        .map(|k| net.add_node(format_args!("plc-{k}"), NodeRole::Plc, Zone::Field, p))
+        .collect();
+    for (c, &gw) in gateways.iter().enumerate() {
+        let mut chain: Vec<NodeId> = plcs[c..].iter().step_by(3).copied().collect();
+        if c == 2 {
+            chain.reverse();
+        }
+        let mut prev = gw;
+        for plc in chain {
+            net.connect(prev, plc);
+            prev = plc;
+        }
+    }
+    assert_eq!(net.node_count(), 97);
+    net
+}
+
+#[test]
+fn frontier_matches_reference_on_plc_chains() {
+    let mut net = plc_chain_network();
+    let seeds: Vec<u64> = (0..100).collect();
+    for diversity in 0..2 {
+        apply_diversity(&mut net, diversity, 0);
+        for detection_stops_attack in [false, true] {
+            let campaign = CampaignConfig {
+                detection_stops_attack,
+                ..CampaignConfig::default()
+            };
+            for threat in [
+                ThreatModel::stuxnet_like(),
+                ThreatModel::duqu_like(),
+                ThreatModel::flame_like(),
+            ] {
+                assert_paths_agree(&net, threat, campaign, &seeds);
+            }
+            // The case reaches payload delivery, so the chains matter.
+            let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), campaign);
+            let mut ws = sim.workspace();
+            assert!(
+                seeds.iter().any(|&seed| {
+                    sim.run_into(&mut ws, seed).deepest_stage == AttackStage::DeviceImpairment
+                }),
+                "no stuxnet campaign reprogrammed a PLC"
+            );
+        }
     }
 }
 
