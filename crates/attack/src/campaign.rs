@@ -186,10 +186,12 @@ impl CampaignOutcome {
 
 /// The scalar results of one campaign replication: everything the
 /// indicator aggregation consumes, with no heap-owning field, so the
-/// replication hot loop can report it without allocating. The full
-/// trajectory (per-tick ratio curve, final per-node states) stays in
-/// the [`CampaignWorkspace`] it was simulated in; callers that need it
-/// materialize a [`CampaignOutcome`] via [`CampaignSimulator::run`].
+/// replication hot loop can report it without allocating. The final
+/// per-node states stay in the [`CampaignWorkspace`] the campaign was
+/// simulated in; the per-tick compromised counts go to the
+/// [`TickObserver`] passed to [`CampaignSimulator::run_into_observed`].
+/// [`CampaignSimulator::run`] materializes both in a
+/// [`CampaignOutcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CampaignStats {
     /// Tick at which the goal was achieved (Time-To-Attack), if it was.
@@ -266,9 +268,6 @@ pub struct CampaignWorkspace {
     /// Per-node count of non-clean neighbors. A node ≥ Rooted belongs
     /// to the lateral frontier iff this is below its degree.
     compromised_nbrs: Vec<u32>,
-    /// Compromised ratio sampled at every tick of the most recent
-    /// replication (index = tick).
-    ratio_curve: Vec<f64>,
     /// Nodes with state exactly Infected (escalation candidates).
     infected: ActiveSet,
     /// Nodes ≥ Rooted with at least one clean neighbor (lateral
@@ -295,7 +294,6 @@ impl CampaignWorkspace {
     /// sparse reset through the dirty lists when the size matches, full
     /// (re)initialization otherwise.
     fn reset(&mut self, n: usize) {
-        self.ratio_curve.clear();
         if self.states.len() == n {
             for &i in &self.dirty_states {
                 self.states[i as usize] = NodeCompromise::Clean;
@@ -326,12 +324,49 @@ impl CampaignWorkspace {
     pub fn states(&self) -> &[NodeCompromise] {
         &self.states
     }
+}
 
-    /// The per-tick compromised-ratio curve of the most recent
-    /// replication (index = tick).
-    #[must_use]
-    pub fn ratio_curve(&self) -> &[f64] {
-        &self.ratio_curve
+/// Receives one report per simulated tick of a campaign: the seam
+/// through which callers watch a trajectory without the tick loop
+/// storing it.
+///
+/// [`CampaignSimulator::run_into_observed`] calls [`TickObserver::tick`]
+/// once per simulated tick, after the tick's detection draw, with the
+/// tick number (1, 2, … in order) and the number of nodes that have
+/// left the Clean state; a tick on which detection halts the campaign
+/// is reported too. Tick 0, before any draw, is never reported: nothing
+/// is compromised then. The observer cannot reach the simulator's
+/// state, so observing never changes a trajectory.
+///
+/// `()` observes nothing and compiles to nothing, which is how
+/// [`CampaignSimulator::run_into`] runs. Any `FnMut(u32, usize)` closure
+/// is an observer.
+pub trait TickObserver {
+    /// Reports the end of simulated tick `tick`, with `compromised`
+    /// non-clean nodes.
+    fn tick(&mut self, tick: u32, compromised: usize);
+}
+
+impl TickObserver for () {
+    #[inline(always)]
+    fn tick(&mut self, _tick: u32, _compromised: usize) {}
+}
+
+impl<F: FnMut(u32, usize)> TickObserver for F {
+    #[inline]
+    fn tick(&mut self, tick: u32, compromised: usize) {
+        self(tick, compromised);
+    }
+}
+
+/// The compromised ratio of `compromised` non-clean nodes out of
+/// `nodes`: 0 on a plant without nodes, where nothing can be
+/// compromised (the plain quotient would be NaN there).
+fn ratio_of(compromised: usize, nodes: usize) -> f64 {
+    if nodes == 0 {
+        0.0
+    } else {
+        compromised as f64 / nodes as f64
     }
 }
 
@@ -364,9 +399,10 @@ fn note_left_clean(
 
 /// Bookkeeping when node `id` reaches Rooted (or Reprogrammed, which
 /// also spreads laterally): it joins the frontier if it still has a
-/// clean neighbor, payload-capable PLCs in its closed neighborhood
-/// become eligible, and the exfiltration foothold counter advances for
-/// data-bearing roles. Called after `states[id]` is updated.
+/// clean neighbor, and payload-capable PLCs in its closed neighborhood
+/// become eligible. Returns whether `id` is data-bearing (historian or
+/// engineering workstation), for the caller's exfiltration foothold
+/// count. Called after `states[id]` is updated.
 #[allow(clippy::too_many_arguments)]
 fn note_rooted(
     net: &ScadaNetwork,
@@ -377,8 +413,7 @@ fn note_rooted(
     compromised_nbrs: &[u32],
     frontier: &mut ActiveSet,
     eligible: &mut ActiveSet,
-    data_rooted: &mut u32,
-) {
+) -> bool {
     let i = id.index();
     if (compromised_nbrs[i] as usize) < topo.degree(id) {
         frontier.insert(i);
@@ -392,12 +427,10 @@ fn note_rooted(
             eligible.insert(j);
         }
     }
-    if matches!(
+    matches!(
         net.role(id),
         NodeRole::Historian | NodeRole::EngineeringWorkstation
-    ) {
-        *data_rooted += 1;
-    }
+    )
 }
 
 /// Scalar tick-loop state of one campaign replication — everything the
@@ -452,14 +485,16 @@ impl Progress {
 
     /// Current compromised ratio.
     fn ratio(&self) -> f64 {
-        (self.nodes - self.clean) as f64 / self.nodes as f64
+        ratio_of(self.nodes - self.clean, self.nodes)
     }
 
-    fn stats(&self, final_compromised_ratio: f64) -> CampaignStats {
+    /// The scalar statistics as of now, with the current ratio as the
+    /// final one.
+    fn stats(&self) -> CampaignStats {
         CampaignStats {
             time_to_attack: self.time_to_attack,
             time_to_detection: self.time_to_detection,
-            final_compromised_ratio,
+            final_compromised_ratio: self.ratio(),
             deepest_stage: self.deepest,
             firewall_blocks: self.firewall_blocks,
             payload_failures: self.payload_failures,
@@ -523,11 +558,10 @@ impl CampaignCheckpoint {
     }
 
     /// The scalar campaign statistics as of this snapshot. The
-    /// compromised ratio is the snapshot's current ratio (a resumed
-    /// segment's curve covers only that segment).
+    /// compromised ratio is the snapshot's current ratio.
     #[must_use]
     pub fn stats(&self) -> CampaignStats {
-        self.progress.stats(self.progress.ratio())
+        self.progress.stats()
     }
 
     /// Number of nodes that had left the Clean state by this snapshot —
@@ -840,26 +874,25 @@ impl<'n> CampaignSimulator<'n> {
     /// Runs one campaign replication with the given seed — the
     /// compatibility entry point that materializes a full
     /// [`CampaignOutcome`] (ratio curve + final states). It allocates a
-    /// fresh workspace per call; hot loops should hold a
+    /// fresh workspace and curve per call; hot loops should hold a
     /// [`CampaignWorkspace`] and call [`CampaignSimulator::run_into`]
     /// instead. Trajectories are bit-identical between the two.
     #[must_use]
     pub fn run(&self, seed: u64) -> CampaignOutcome {
+        let n = self.network.node_count();
         let mut ws = self.workspace();
-        let stats = self.run_into(&mut ws, seed);
-        let CampaignWorkspace {
-            states,
-            mut ratio_curve,
-            ..
-        } = ws;
-        // The curve is sized lazily, so trim the growth slack instead of
-        // handing callers a buffer reserved for `max_ticks + 1` samples.
-        ratio_curve.shrink_to_fit();
+        let mut curve = vec![0.0];
+        let stats = self.run_into_observed(&mut ws, seed, &mut |_: u32, compromised: usize| {
+            curve.push(ratio_of(compromised, n));
+        });
+        // The curve grows by doubling, so trim the growth slack instead
+        // of handing callers a buffer with room for samples never taken.
+        curve.shrink_to_fit();
         CampaignOutcome {
             time_to_attack: stats.time_to_attack,
             time_to_detection: stats.time_to_detection,
-            compromised_ratio: ratio_curve,
-            final_states: states,
+            compromised_ratio: curve,
+            final_states: ws.states,
             deepest_stage: stats.deepest_stage,
             firewall_blocks: stats.firewall_blocks,
             payload_failures: stats.payload_failures,
@@ -868,8 +901,9 @@ impl<'n> CampaignSimulator<'n> {
 
     /// Runs one campaign replication inside `ws`, reusing its buffers —
     /// the allocation-free, event-driven hot path. Returns the scalar
-    /// [`CampaignStats`]; the full ratio curve and final node states
-    /// remain readable from the workspace until the next replication.
+    /// [`CampaignStats`]; the final node states remain readable from the
+    /// workspace until the next replication. No per-tick curve is kept:
+    /// [`CampaignSimulator::run_into_observed`] reports one.
     ///
     /// The trajectory is a pure function of `seed`: the active sets are
     /// traversed in ascending id order with cached-word cursors that
@@ -880,31 +914,58 @@ impl<'n> CampaignSimulator<'n> {
     /// [`CampaignSimulator::run`].
     #[must_use]
     pub fn run_into(&self, ws: &mut CampaignWorkspace, seed: u64) -> CampaignStats {
+        self.run_into_observed(ws, seed, &mut ())
+    }
+
+    /// [`CampaignSimulator::run_into`], reporting every simulated tick to
+    /// `observer` (see [`TickObserver`]). Observing changes no draw: the
+    /// trajectory and the returned statistics are those of `run_into`
+    /// for the same seed, whose `()` observer compiles to nothing. The
+    /// final compromised ratio is the last reported tick's, or 0 when
+    /// the horizon is 0 and no tick runs.
+    pub fn run_into_observed<O: TickObserver>(
+        &self,
+        ws: &mut CampaignWorkspace,
+        seed: u64,
+        observer: &mut O,
+    ) -> CampaignStats {
         let mut rng = RngStream::new(seed, StreamId(0xA77));
         let n = self.network.node_count();
         ws.reset(n);
         let mut pr = Progress::fresh(n);
-        ws.ratio_curve.push(0.0);
         while pr.tick < self.config.max_ticks && !pr.done() {
-            self.step_tick(ws, &mut pr, &mut rng);
+            self.step_tick(ws, &mut pr, &mut rng, observer);
         }
-        pr.stats(ws.ratio_curve.last().copied().unwrap_or(0.0))
+        pr.stats()
     }
 
-    /// Advances one tick of the event-driven engine: entry seeding,
+    /// Advances one tick of the event-driven engine — entry seeding,
     /// privilege escalation, lateral propagation, payload delivery, goal
-    /// evaluation, detection, and the per-tick ratio sample — exactly
-    /// the body of the historical `run_into` tick loop, draw for draw,
-    /// so the stepper stays bit-identical to
-    /// [`CampaignSimulator::run_reference`]. Per-node probabilities
-    /// come from the precomputed [`ProbTables`], read through the
-    /// node's class once per visit, lateral draws from the
-    /// per-degree [`IndexDraw`]s (the same indexes `RngStream::index`
-    /// returns) and the goal test from the precomputed PLC count. Each
-    /// sweep walks its set with a cached-word cursor; the lateral sweep
-    /// resyncs it after an infection and the payload sweep after a
-    /// delivery (see the module docs).
-    fn step_tick(&self, ws: &mut CampaignWorkspace, pr: &mut Progress, rng: &mut RngStream) {
+    /// evaluation and detection — and reports it to `observer`, draw
+    /// for draw the tick of [`CampaignSimulator::run_reference`].
+    /// Per-node probabilities come from the precomputed [`ProbTables`],
+    /// read through the node's class once per visit, lateral draws from
+    /// the per-degree [`IndexDraw`]s (the same indexes `RngStream::index`
+    /// returns) and the goal test from the precomputed PLC count. A
+    /// sweep whose set is empty is skipped; the others walk their set
+    /// with a cached-word cursor, which the lateral sweep resyncs after
+    /// an infection and the payload sweep after a delivery (see the
+    /// module docs).
+    ///
+    /// It is inlined into the tick loops of
+    /// [`CampaignSimulator::run_into_observed`] and
+    /// [`CampaignSimulator::run_stage`], and no out-of-line call gets a
+    /// reference into `pr`, so the loop keeps the scalar progress in
+    /// registers: on a small plant a tick makes only a few draws, and a
+    /// call per tick with `Progress` in memory costs more than they do.
+    #[inline(always)]
+    fn step_tick<O: TickObserver>(
+        &self,
+        ws: &mut CampaignWorkspace,
+        pr: &mut Progress,
+        rng: &mut RngStream,
+        observer: &mut O,
+    ) {
         let probs = &self.tables;
         let net = self.network;
         let topo = self.topo;
@@ -914,13 +975,14 @@ impl<'n> CampaignSimulator<'n> {
         let CampaignWorkspace {
             states,
             compromised_nbrs,
-            ratio_curve,
             infected,
             frontier,
             eligible,
             dirty_states,
             dirty_degrees,
         } = ws;
+        let states = states.as_mut_slice();
+        let compromised_nbrs = compromised_nbrs.as_mut_slice();
 
         // Stage: Initial → Activated (seed an entry node). The attacker
         // seeds an entry-point node (USB stick in the office, per the
@@ -951,24 +1013,24 @@ impl<'n> CampaignSimulator<'n> {
         // ascending id order — the dense scan's draw order. A node
         // that escalates leaves the set (the index just visited, so the
         // cursor needs no resync) and joins the lateral structures.
-        {
+        if !infected.is_empty() {
             let mut cursor = infected.cursor();
             while let Some(i) = cursor.next(infected) {
-                let id = NodeId::from_index(i);
                 if rng.bernoulli(probs.class(i).escalation) {
                     states[i] = NodeCompromise::Rooted;
                     infected.remove(i);
-                    note_rooted(
+                    if note_rooted(
                         net,
                         topo,
                         probs,
-                        id,
+                        NodeId::from_index(i),
                         states,
                         compromised_nbrs,
                         frontier,
                         eligible,
-                        &mut pr.data_rooted,
-                    );
+                    ) {
+                        pr.data_rooted += 1;
+                    }
                     pr.deepest = pr.deepest.max(AttackStage::RootAccess);
                 }
             }
@@ -982,7 +1044,7 @@ impl<'n> CampaignSimulator<'n> {
         // word, the cursor re-reads that word after each one. When the
         // last node leaves Clean every source saturates, so the
         // frontier empties itself and the stage disappears.
-        if pr.clean > 0 {
+        if pr.clean > 0 && !frontier.is_empty() {
             let mut cursor = frontier.cursor();
             while let Some(s) = cursor.next(frontier) {
                 let neighbors = topo.neighbors(NodeId::from_index(s));
@@ -1034,11 +1096,11 @@ impl<'n> CampaignSimulator<'n> {
         // mid-stage joins at its id — visited this tick iff the
         // cursor has not passed it, matching the dense ascending scan;
         // the cursor re-reads its word after each delivery to see it.
-        {
+        if !eligible.is_empty() {
             let mut cursor = eligible.cursor();
             while let Some(pi) = cursor.next(eligible) {
-                let plc = NodeId::from_index(pi);
                 if rng.bernoulli(probs.class(pi).payload) {
+                    let plc = NodeId::from_index(pi);
                     let prev = states[pi];
                     states[pi] = NodeCompromise::Reprogrammed;
                     if prev == NodeCompromise::Clean {
@@ -1057,7 +1119,7 @@ impl<'n> CampaignSimulator<'n> {
                     }
                     eligible.remove(pi);
                     pr.reprogrammed += 1;
-                    note_rooted(
+                    if note_rooted(
                         net,
                         topo,
                         probs,
@@ -1066,8 +1128,9 @@ impl<'n> CampaignSimulator<'n> {
                         compromised_nbrs,
                         frontier,
                         eligible,
-                        &mut pr.data_rooted,
-                    );
+                    ) {
+                        pr.data_rooted += 1;
+                    }
                     cursor.resync(eligible);
                     pr.deepest = pr.deepest.max(AttackStage::DeviceImpairment);
                 } else {
@@ -1097,39 +1160,34 @@ impl<'n> CampaignSimulator<'n> {
         }
 
         // Detection (Time-To-Security-Failure). Only active intrusions
-        // can be noticed.
+        // can be noticed. Under remediation it ends the campaign after
+        // this tick, which is still reported.
         if pr.time_to_detection.is_none() && pr.clean < n {
             let impairment_active = pr.reprogrammed > 0;
             let p = probs.detection_p(impairment_active);
             if rng.bernoulli(p) {
                 pr.time_to_detection = Some(tick);
-                if self.config.detection_stops_attack {
-                    pr.halted = true;
-                    ratio_curve.push(pr.ratio());
-                    return;
-                }
+                pr.halted = self.config.detection_stops_attack;
             }
         }
 
-        ratio_curve.push(pr.ratio());
+        observer.tick(tick, n - pr.clean);
     }
 
-    /// Snapshots the current replication state from `ws` and `pr`. The
-    /// sparse non-clean list comes from the workspace's dirty list
-    /// (each node that left Clean appears there exactly once), sorted
-    /// ascending so the checkpoint is canonical regardless of the order
-    /// nodes were compromised in.
-    fn capture(&self, ws: &CampaignWorkspace, pr: &Progress) -> CampaignCheckpoint {
+    /// Snapshots the current replication state from `ws` and
+    /// `progress`. The sparse non-clean list comes from the workspace's
+    /// dirty list (each node that left Clean appears there exactly
+    /// once), sorted ascending so the checkpoint is canonical regardless
+    /// of the order nodes were compromised in. `progress` comes by
+    /// value, so no reference into the tick loop's state escapes.
+    fn capture(&self, ws: &CampaignWorkspace, progress: Progress) -> CampaignCheckpoint {
         let mut states: Vec<(u32, NodeCompromise)> = ws
             .dirty_states
             .iter()
             .map(|&i| (i, ws.states[i as usize]))
             .collect();
         states.sort_unstable_by_key(|&(i, _)| i);
-        CampaignCheckpoint {
-            progress: *pr,
-            states,
-        }
+        CampaignCheckpoint { progress, states }
     }
 
     /// Rebuilds the workspace from a checkpoint: dense states, the
@@ -1145,7 +1203,6 @@ impl<'n> CampaignSimulator<'n> {
         let CampaignWorkspace {
             states,
             compromised_nbrs,
-            ratio_curve,
             infected,
             frontier,
             eligible,
@@ -1172,22 +1229,22 @@ impl<'n> CampaignSimulator<'n> {
                 NodeCompromise::Infected => {
                     infected.insert(i);
                 }
-                NodeCompromise::Rooted | NodeCompromise::Reprogrammed => note_rooted(
-                    self.network,
-                    self.topo,
-                    &self.tables,
-                    NodeId::from_index(i),
-                    states,
-                    compromised_nbrs,
-                    frontier,
-                    eligible,
-                    // The checkpoint's progress already counts every
-                    // data-bearing root.
-                    &mut 0,
-                ),
+                // The checkpoint's progress already counts every
+                // data-bearing root.
+                NodeCompromise::Rooted | NodeCompromise::Reprogrammed => {
+                    note_rooted(
+                        self.network,
+                        self.topo,
+                        &self.tables,
+                        NodeId::from_index(i),
+                        states,
+                        compromised_nbrs,
+                        frontier,
+                        eligible,
+                    );
+                }
             }
         }
-        ratio_curve.push(cp.progress.ratio());
         cp.progress
     }
 
@@ -1216,18 +1273,17 @@ impl<'n> CampaignSimulator<'n> {
             None => {
                 let n = self.network.node_count();
                 ws.reset(n);
-                ws.ratio_curve.push(0.0);
                 Progress::fresh(n)
             }
         };
         let start = pr.tick;
         while !milestone.reached(&pr) && !pr.done() && pr.tick < self.config.max_ticks {
-            self.step_tick(ws, &mut pr, &mut rng);
+            self.step_tick(ws, &mut pr, &mut rng, &mut ());
         }
         StageRun {
             reached: milestone.reached(&pr),
             ticks: pr.tick - start,
-            checkpoint: self.capture(ws, &pr),
+            checkpoint: self.capture(ws, pr),
         }
     }
 
@@ -1399,13 +1455,13 @@ impl<'n> CampaignSimulator<'n> {
                 if rng.bernoulli(p) {
                     time_to_detection = Some(tick);
                     if self.config.detection_stops_attack {
-                        ratio_curve.push((n - clean) as f64 / n as f64);
+                        ratio_curve.push(ratio_of(n - clean, n));
                         break 'ticks;
                     }
                 }
             }
 
-            ratio_curve.push((n - clean) as f64 / n as f64);
+            ratio_curve.push(ratio_of(n - clean, n));
 
             if time_to_attack.is_some() && time_to_detection.is_some() {
                 break;
@@ -1873,12 +1929,93 @@ mod tests {
                 let outcome = sim.run(seed);
                 let stats = sim.run_into(&mut ws, seed);
                 assert_eq!(outcome.stats(), stats, "seed {seed}");
-                assert_eq!(outcome.compromised_ratio, ws.ratio_curve(), "seed {seed}");
+                let mut curve = vec![0.0];
+                let observed = sim.run_into_observed(&mut ws, seed, &mut |_: u32, c: usize| {
+                    curve.push(c as f64 / net.node_count() as f64);
+                });
+                assert_eq!(observed, stats, "seed {seed}");
+                assert_eq!(outcome.compromised_ratio, curve, "seed {seed}");
                 assert_eq!(outcome.final_states, ws.states(), "seed {seed}");
                 // The event-driven frontier engine must reproduce the
                 // dense visit-time-eligibility sweep exactly, RNG draw
                 // for RNG draw.
                 assert_eq!(outcome, sim.run_reference(seed), "seed {seed}");
+            }
+        }
+    }
+
+    /// The [`TickObserver`] contract on SCoPE, for every threat with
+    /// remediation on and off: the observer sees ticks `1..=k` in order,
+    /// where `k` is the last tick of the reference curve (the halting
+    /// tick included), and the ratios rebuilt from its compromised
+    /// counts are the reference curve, bit for bit.
+    #[test]
+    fn tick_observer_sees_every_tick_in_order() {
+        let net = scope_network();
+        let n = net.node_count();
+        let mut halted = 0;
+        for detection_stops_attack in [false, true] {
+            let config = CampaignConfig {
+                detection_stops_attack,
+                ..CampaignConfig::default()
+            };
+            for threat in [
+                ThreatModel::stuxnet_like(),
+                ThreatModel::duqu_like(),
+                ThreatModel::flame_like(),
+            ] {
+                let sim = CampaignSimulator::new(&net, threat, config);
+                let mut ws = sim.workspace();
+                for seed in 0..20u64 {
+                    let reference = sim.run_reference(seed);
+                    let mut seen = Vec::new();
+                    let stats = sim.run_into_observed(&mut ws, seed, &mut |tick: u32, c: usize| {
+                        seen.push((tick, c));
+                    });
+                    assert_eq!(stats, reference.stats(), "seed {seed}");
+                    let k = reference.compromised_ratio.len() as u32 - 1;
+                    let ticks: Vec<u32> = seen.iter().map(|&(tick, _)| tick).collect();
+                    assert_eq!(ticks, (1..=k).collect::<Vec<_>>(), "seed {seed}");
+                    let rebuilt: Vec<u64> = std::iter::once(0.0)
+                        .chain(seen.iter().map(|&(_, c)| c as f64 / n as f64))
+                        .map(f64::to_bits)
+                        .collect();
+                    let curve: Vec<u64> = reference
+                        .compromised_ratio
+                        .iter()
+                        .map(|r| r.to_bits())
+                        .collect();
+                    assert_eq!(rebuilt, curve, "seed {seed}");
+                    if detection_stops_attack && reference.time_to_detection == Some(k) {
+                        halted += 1;
+                    }
+                }
+            }
+        }
+        assert!(halted > 0, "no campaign was halted by detection");
+    }
+
+    /// A plant without nodes: nothing can be compromised, so every path
+    /// reports a compromised ratio of 0 at every horizon, never 0/0.
+    #[test]
+    fn empty_plant_matches_reference() {
+        let net = ScadaNetwork::new();
+        for max_ticks in [0, 1, 5] {
+            for threat in [ThreatModel::stuxnet_like(), ThreatModel::duqu_like()] {
+                let config = CampaignConfig {
+                    max_ticks,
+                    detection_stops_attack: false,
+                };
+                let sim = CampaignSimulator::new(&net, threat, config);
+                let reference = sim.run_reference(7);
+                assert_eq!(
+                    reference.compromised_ratio,
+                    vec![0.0; max_ticks as usize + 1]
+                );
+                assert_eq!(sim.run(7), reference, "horizon {max_ticks}");
+                let stats = sim.run_into(&mut sim.workspace(), 7);
+                assert_eq!(stats, reference.stats(), "horizon {max_ticks}");
+                assert!(stats.is_finite(), "horizon {max_ticks}");
             }
         }
     }

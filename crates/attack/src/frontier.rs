@@ -20,15 +20,17 @@
 //!
 //! A [`Cursor`] caches the unvisited members of its current level-0
 //! word, so a visit costs a `tzcnt` and a bit-clear. Only a spent word
-//! sends it up through levels 1 and 2, in an out-of-line, `#[cold]`
-//! climb that reads the summaries as they stand; a traversal that ends
-//! in the set's last word (every traversal of a plant of at most 64
-//! nodes) never takes it. The cached word is a copy: after an insert or
-//! a remove that may land in the cursor's word ahead of it, the caller
-//! calls [`Cursor::resync`] to re-read that word. Removing the index
-//! just visited needs none. Debug builds assert at every advance that
-//! the cache equals the live word above the cursor, so a forgotten
-//! resync panics there.
+//! sends it up through levels 1 and 2, in a `#[cold]`, never-inlined
+//! call on the set that takes the word index by value and reads the
+//! summaries as they stand; no reference to the cursor leaves
+//! [`Cursor::next`], so a caller's cursor can live in registers. A
+//! traversal that ends in the set's last word (every traversal of a
+//! plant of at most 64 nodes) never climbs. The cached word is a copy:
+//! after an insert or a remove that may land in the cursor's word ahead
+//! of it, the caller calls [`Cursor::resync`] to re-read that word.
+//! Removing the index just visited needs none. Debug builds assert at
+//! every advance that the cache equals the live word above the cursor,
+//! so a forgotten resync panics there.
 
 /// Bits of `word` strictly above `bit`.
 fn after_mask(bit: usize) -> u64 {
@@ -182,7 +184,12 @@ impl ActiveSet {
     }
 
     /// The first non-empty level-0 word after `w0`, found through the
-    /// summary levels.
+    /// summary levels: the climb a [`Cursor`] takes once its word is
+    /// spent. Cold and out of line, and it takes the word index by value,
+    /// so the cursor's visit path stays small and the cursor itself stays
+    /// in registers.
+    #[cold]
+    #[inline(never)]
     fn next_word_after(&self, w0: usize) -> Option<usize> {
         if self.len == 0 {
             return None;
@@ -259,7 +266,9 @@ impl Cursor {
             if self.word + 1 >= set.l0.len() {
                 return None;
             }
-            self.climb(set)?;
+            self.word = set.next_word_after(self.word)?;
+            self.ahead = !0;
+            self.bits = set.l0[self.word];
         }
         let bit = self.bits.trailing_zeros() as usize;
         self.ahead = !(self.bits ^ (self.bits - 1));
@@ -278,16 +287,6 @@ impl Cursor {
     #[inline]
     fn live_bits(&self, set: &ActiveSet) -> u64 {
         set.l0.get(self.word).map_or(0, |&w| w & self.ahead)
-    }
-
-    /// Moves to the next non-empty word once the cursor's is spent: the
-    /// summary climb, kept out of line so the visit path stays small.
-    #[cold]
-    fn climb(&mut self, set: &ActiveSet) -> Option<()> {
-        self.word = set.next_word_after(self.word)?;
-        self.ahead = !0;
-        self.bits = set.l0[self.word];
-        Some(())
     }
 }
 

@@ -48,7 +48,7 @@ pub mod tree;
 
 pub use campaign::{
     AttackGoal, CampaignCheckpoint, CampaignConfig, CampaignMilestone, CampaignOutcome,
-    CampaignSimulator, MilestonePlacement, PilotedMilestones, StageRun, ThreatModel,
+    CampaignSimulator, MilestonePlacement, PilotedMilestones, StageRun, ThreatModel, TickObserver,
 };
 pub use chain::{chain_success_probability, simulate_chain, MachineChain};
 pub use exploit::ExploitCatalog;
