@@ -151,16 +151,16 @@ mod tests {
 
     #[test]
     fn equal_configs_key_equal_and_unequal_key_unequal() {
-        let a = ScopeConfig::default();
-        let b = ScopeConfig::default();
+        let a = ThreatModel::stuxnet_like();
+        let b = ThreatModel::stuxnet_like();
         assert_eq!(ContentKey::of(&a), ContentKey::of(&b));
-        let mut c = ScopeConfig::default();
-        c.setpoint += 0.5;
+        let mut c = ThreatModel::stuxnet_like();
+        c.stealth -= 0.5;
         assert_ne!(ContentKey::of(&a), ContentKey::of(&c));
         // A change below any decimal rendering still changes the key:
         // floats hash by exact bits.
-        let mut d = ScopeConfig::default();
-        d.setpoint = f64::from_bits(d.setpoint.to_bits() + 1);
+        let mut d = ThreatModel::stuxnet_like();
+        d.stealth = f64::from_bits(d.stealth.to_bits() + 1);
         assert_ne!(ContentKey::of(&a), ContentKey::of(&d));
     }
 
@@ -180,12 +180,12 @@ mod tests {
         let a = ScopeConfig::default();
         let t = ThreatModel::stuxnet_like();
         let ab = ContentKey::of(&vec![
-            serde::Serialize::to_json_value(&a.racks),
+            serde::Serialize::to_json_value(&a.cracs),
             serde::Serialize::to_json_value(&t.name),
         ]);
         let ba = ContentKey::of(&vec![
             serde::Serialize::to_json_value(&t.name),
-            serde::Serialize::to_json_value(&a.racks),
+            serde::Serialize::to_json_value(&a.cracs),
         ]);
         assert_ne!(ab, ba);
     }

@@ -1,29 +1,22 @@
 //! # diversify-scada
 //!
-//! The SCADA substrate of the *Diversify!* (DSN 2013) reproduction: every
-//! monitoring-and-control component the paper's case study mentions, built
-//! from scratch and instrumented for attack-impact experiments.
+//! The SCADA substrate of the *Diversify!* (DSN 2013) reproduction: the
+//! monitoring-and-control network an attack campaign spreads over — its
+//! nodes, their diversifiable component profiles and the links between
+//! them.
 //!
-//! * [`protocol`] — a Modbus-like fieldbus protocol (frames, function
-//!   codes, exceptions) together with **diversified wire dialects**: the
-//!   concrete mechanism by which protocol diversity breaks exploit
-//!   portability.
+//! * [`protocol`] — the fieldbus protocol's **diversified wire
+//!   dialects**: the concrete mechanism by which protocol diversity breaks
+//!   exploit portability.
 //! * [`components`] — the HW/SW component classes the paper proposes to
 //!   diversify (operating systems, PLC firmware, firewall policies, sensor
 //!   vendors, historian stacks) with per-variant attack-resilience scores.
-//! * [`plc`] — programmable logic controllers: register/coil image, a
-//!   small instruction-list interpreter and a cyclic scan executive.
-//! * [`device`] — field devices: temperature/flow/pressure sensors and
-//!   fan/valve/pump actuators, with fault/impairment states.
-//! * [`physics`] — the data-center cooling plant (racks → room air → CRAC
-//!   units → chilled-water loop) as an explicit-Euler thermal model.
 //! * [`network`] — the plant network: structure-of-arrays node state and
 //!   a CSR topology (flat neighbor array, precomputed role/zone indexes)
 //!   serving reachability and the centrality analysis used for
 //!   *strategic* diversity placement.
 //! * [`scope`] — a parameterized model of the SCoPE data-center cooling
-//!   system (the paper's case study): builds the full topology and wires
-//!   PLC control loops to the thermal model.
+//!   system's control network (the paper's case study).
 //! * [`fleet`] — a tiered plant-family generator (plants → substations →
 //!   field devices), deterministically seed-randomized and valid from
 //!   10^2 to 10^6 nodes, for fleet-scale campaign studies.
@@ -32,14 +25,16 @@
 //!
 //! ```
 //! use diversify_scada::scope::{ScopeConfig, ScopeSystem};
+//! use diversify_scada::NodeRole;
 //!
 //! let system = ScopeSystem::build(&ScopeConfig::default());
-//! assert!(system.network().node_count() > 10);
-//! // Run the closed control loop for an hour of plant time: temperatures
-//! // stay in the safe band.
-//! let mut plant = system.into_runtime();
-//! plant.run_for(3600.0);
-//! assert!(plant.max_rack_temperature() < 45.0);
+//! let net = system.network();
+//! // 3 office workstations, HMI, historian, engineering workstation,
+//! // 2 field gateways and one PLC per CRAC unit.
+//! assert_eq!(net.node_count(), 12);
+//! assert_eq!(net.nodes_with_role(NodeRole::Plc).len(), 4);
+//! // Flat routing: every node is reachable from an office workstation.
+//! assert_eq!(net.reachable(system.office()[0]).len(), 12);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,12 +44,8 @@
 #![allow(clippy::disallowed_methods)]
 
 pub mod components;
-pub mod device;
-pub mod error;
 pub mod fleet;
 pub mod network;
-pub mod physics;
-pub mod plc;
 pub mod protocol;
 pub mod scope;
 
@@ -62,7 +53,6 @@ pub use components::{
     ComponentClass, ComponentProfile, FirewallPolicy, HistorianStack, OsVariant, PlcFirmware,
     SensorVendor,
 };
-pub use error::ScadaError;
 pub use fleet::{FleetConfig, FleetSystem};
 pub use network::{LinkId, NodeId, NodeRole, ScadaNetwork, Topology, Zone};
 pub use protocol::dialect::ProtocolDialect;

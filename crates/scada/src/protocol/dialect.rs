@@ -1,30 +1,33 @@
 //! Diversified wire dialects.
 //!
-//! All dialects carry the same PDUs (see [`crate::protocol::codec`]) but
-//! differ in framing — header magic, byte order, integrity mechanism. The
-//! point of the diversification is that a *payload crafted for one dialect
-//! is rejected by endpoints speaking another*, which converts protocol
-//! diversity directly into attack-propagation resistance (experiment R7).
+//! A dialect is the wire framing a node's fieldbus endpoint speaks. The
+//! attack model reads it as a compatibility check: a lateral move into a
+//! field-zone node, or a PLC payload, that was not crafted for the node's
+//! dialect succeeds only with a small re-porting probability. That is how
+//! protocol diversity becomes attack-propagation resistance (experiment
+//! R7). A dialect's [`resilience`](ProtocolDialect::resilience) score
+//! feeds its component profile's combined score
+//! ([`ComponentProfile::resilience`](crate::components::ComponentProfile::resilience)).
 
-use crate::error::ScadaError;
-use crate::protocol::codec::{decode_pdu, encode_pdu};
-use crate::protocol::frame::Pdu;
 use serde::{Deserialize, Serialize};
 
-/// A wire dialect of the fieldbus protocol.
+/// A wire dialect of the fieldbus protocol. Each variant names the
+/// integrity mechanism its [`resilience`](ProtocolDialect::resilience)
+/// score models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
 pub enum ProtocolDialect {
     /// The classic open dialect: plain header, no integrity protection
     /// (Modbus/TCP-like).
     Classic,
-    /// Adds a 16-bit additive checksum and flips multi-byte fields to
-    /// little-endian.
+    /// A checksummed body in a swapped byte order: corruption is
+    /// detected, forgery is not prevented.
     Checksummed,
-    /// XOR-obfuscated body with a rolling key derived from the header —
-    /// not cryptographically strong, but wire-incompatible.
+    /// An obfuscated body under a rolling key derived from the header:
+    /// not cryptographically strong, but wire-incompatible with the
+    /// other dialects.
     Obfuscated,
-    /// Authenticated dialect: 64-bit keyed tag (FNV-based MAC stand-in)
-    /// over the body; endpoints reject unauthenticated frames.
+    /// A keyed authentication tag over the body: endpoints reject
+    /// unauthenticated frames.
     Authenticated,
 }
 
@@ -37,17 +40,6 @@ impl ProtocolDialect {
         ProtocolDialect::Authenticated,
     ];
 
-    /// The dialect's header magic byte.
-    #[must_use]
-    fn magic(self) -> u8 {
-        match self {
-            ProtocolDialect::Classic => 0xA0,
-            ProtocolDialect::Checksummed => 0xB1,
-            ProtocolDialect::Obfuscated => 0xC2,
-            ProtocolDialect::Authenticated => 0xD3,
-        }
-    }
-
     /// Attack-resilience score used in component profiles: the probability
     /// that a generic protocol-level exploit step fails against endpoints
     /// speaking this dialect.
@@ -59,123 +51,6 @@ impl ProtocolDialect {
             ProtocolDialect::Obfuscated => 0.45,
             ProtocolDialect::Authenticated => 0.85,
         }
-    }
-
-    /// Encodes a PDU into a wire frame of this dialect.
-    #[must_use]
-    pub fn encode(self, pdu: &Pdu, key: u64) -> Vec<u8> {
-        let body = encode_pdu(pdu);
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.push(self.magic());
-        out.push(body.len() as u8);
-        out.push((body.len() >> 8) as u8);
-        match self {
-            ProtocolDialect::Classic => {
-                out.extend_from_slice(&body);
-            }
-            ProtocolDialect::Checksummed => {
-                // Little-endian byte-swapped body + additive checksum.
-                let swapped = swap_pairs(&body);
-                let sum = additive_checksum(&swapped);
-                out.extend_from_slice(&swapped);
-                out.extend_from_slice(&sum.to_le_bytes());
-            }
-            ProtocolDialect::Obfuscated => {
-                let mut k = self.magic() ^ (body.len() as u8);
-                for &b in &body {
-                    let enc = b ^ k;
-                    out.push(enc);
-                    k = k.wrapping_mul(31).wrapping_add(7);
-                }
-            }
-            ProtocolDialect::Authenticated => {
-                out.extend_from_slice(&body);
-                let tag = keyed_tag(&body, key);
-                out.extend_from_slice(&tag.to_be_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decodes a wire frame of this dialect.
-    ///
-    /// # Errors
-    ///
-    /// * [`ScadaError::DialectMismatch`] if the frame's magic byte belongs
-    ///   to a different dialect (or is unknown);
-    /// * [`ScadaError::IntegrityFailure`] if the checksum/tag fails
-    ///   (including authenticated frames under a wrong `key`);
-    /// * [`ScadaError::MalformedFrame`] for structural defects.
-    pub fn decode(self, frame: &[u8], key: u64) -> Result<Pdu, ScadaError> {
-        if frame.len() < 3 {
-            return Err(ScadaError::MalformedFrame { what: "too short" });
-        }
-        if frame[0] != self.magic() {
-            return Err(ScadaError::DialectMismatch);
-        }
-        let len = frame[1] as usize | ((frame[2] as usize) << 8);
-        let rest = &frame[3..];
-        let body: Vec<u8> = match self {
-            ProtocolDialect::Classic => {
-                if rest.len() != len {
-                    return Err(ScadaError::MalformedFrame {
-                        what: "length field mismatch",
-                    });
-                }
-                rest.to_vec()
-            }
-            ProtocolDialect::Checksummed => {
-                if rest.len() != len + 2 {
-                    return Err(ScadaError::MalformedFrame {
-                        what: "length field mismatch",
-                    });
-                }
-                let (swapped, sum_bytes) = rest.split_at(len);
-                let expect = u16::from_le_bytes([sum_bytes[0], sum_bytes[1]]);
-                if additive_checksum(swapped) != expect {
-                    return Err(ScadaError::IntegrityFailure);
-                }
-                swap_pairs(swapped)
-            }
-            ProtocolDialect::Obfuscated => {
-                if rest.len() != len {
-                    return Err(ScadaError::MalformedFrame {
-                        what: "length field mismatch",
-                    });
-                }
-                let mut k = self.magic() ^ (len as u8);
-                let mut body = Vec::with_capacity(len);
-                for &b in rest {
-                    body.push(b ^ k);
-                    k = k.wrapping_mul(31).wrapping_add(7);
-                }
-                body
-            }
-            ProtocolDialect::Authenticated => {
-                if rest.len() != len + 8 {
-                    return Err(ScadaError::MalformedFrame {
-                        what: "length field mismatch",
-                    });
-                }
-                let (body, tag_bytes) = rest.split_at(len);
-                let expect =
-                    u64::from_be_bytes(tag_bytes.try_into().expect("split guarantees 8 bytes"));
-                if keyed_tag(body, key) != expect {
-                    return Err(ScadaError::IntegrityFailure);
-                }
-                body.to_vec()
-            }
-        };
-        decode_pdu(&body)
-    }
-
-    /// Detects the dialect of a raw frame from its magic byte.
-    #[must_use]
-    pub fn detect(frame: &[u8]) -> Option<ProtocolDialect> {
-        let magic = *frame.first()?;
-        ProtocolDialect::ALL
-            .into_iter()
-            .find(|d| d.magic() == magic)
     }
 }
 
@@ -191,109 +66,9 @@ impl std::fmt::Display for ProtocolDialect {
     }
 }
 
-/// Swaps adjacent byte pairs (a cheap big↔little-endian shuffle; odd tail
-/// byte is kept in place).
-fn swap_pairs(bytes: &[u8]) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    for chunk in out.chunks_exact_mut(2) {
-        chunk.swap(0, 1);
-    }
-    out
-}
-
-/// 16-bit additive checksum.
-fn additive_checksum(bytes: &[u8]) -> u16 {
-    bytes
-        .iter()
-        .fold(0u16, |acc, &b| acc.wrapping_add(u16::from(b)))
-}
-
-/// FNV-1a based keyed tag (a stand-in for a MAC; the experiments need
-/// wire-incompatibility and key-dependence, not cryptographic strength).
-fn keyed_tag(bytes: &[u8], key: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ key;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^ key.rotate_left(17)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::frame::Request;
-
-    fn sample_pdu() -> Pdu {
-        Pdu::Request(Request::WriteMultipleRegisters {
-            address: 40_001,
-            values: vec![0x1234, 0xABCD, 7],
-        })
-    }
-
-    #[test]
-    fn every_dialect_round_trips() {
-        for d in ProtocolDialect::ALL {
-            let frame = d.encode(&sample_pdu(), 42);
-            let back = d.decode(&frame, 42).unwrap();
-            assert_eq!(back, sample_pdu(), "dialect {d}");
-        }
-    }
-
-    #[test]
-    fn cross_dialect_frames_rejected() {
-        for enc in ProtocolDialect::ALL {
-            for dec in ProtocolDialect::ALL {
-                if enc == dec {
-                    continue;
-                }
-                let frame = enc.encode(&sample_pdu(), 1);
-                assert!(
-                    matches!(dec.decode(&frame, 1), Err(ScadaError::DialectMismatch)),
-                    "{enc} frame accepted by {dec} decoder"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn authenticated_rejects_wrong_key() {
-        let d = ProtocolDialect::Authenticated;
-        let frame = d.encode(&sample_pdu(), 0xAAAA);
-        assert!(matches!(
-            d.decode(&frame, 0xBBBB),
-            Err(ScadaError::IntegrityFailure)
-        ));
-        assert!(d.decode(&frame, 0xAAAA).is_ok());
-    }
-
-    #[test]
-    fn checksummed_detects_corruption() {
-        let d = ProtocolDialect::Checksummed;
-        let mut frame = d.encode(&sample_pdu(), 0);
-        let idx = frame.len() / 2;
-        frame[idx] ^= 0xFF;
-        let out = d.decode(&frame, 0);
-        assert!(out.is_err(), "corrupted frame accepted: {out:?}");
-    }
-
-    #[test]
-    fn obfuscated_body_differs_from_classic() {
-        let classic = ProtocolDialect::Classic.encode(&sample_pdu(), 0);
-        let obf = ProtocolDialect::Obfuscated.encode(&sample_pdu(), 0);
-        // Bodies (past the 3-byte header) must differ even for equal PDUs.
-        assert_ne!(&classic[3..], &obf[3..]);
-    }
-
-    #[test]
-    fn detect_identifies_dialects() {
-        for d in ProtocolDialect::ALL {
-            let frame = d.encode(&sample_pdu(), 9);
-            assert_eq!(ProtocolDialect::detect(&frame), Some(d));
-        }
-        assert_eq!(ProtocolDialect::detect(&[0x00]), None);
-        assert_eq!(ProtocolDialect::detect(&[]), None);
-    }
 
     #[test]
     fn resilience_ordering_matches_mechanism_strength() {
@@ -304,15 +79,5 @@ mod tests {
         assert!(
             ProtocolDialect::Obfuscated.resilience() < ProtocolDialect::Authenticated.resilience()
         );
-    }
-
-    #[test]
-    fn truncated_frames_rejected_by_all() {
-        for d in ProtocolDialect::ALL {
-            let frame = d.encode(&sample_pdu(), 3);
-            for cut in 0..frame.len() {
-                assert!(d.decode(&frame[..cut], 3).is_err(), "{d} cut {cut}");
-            }
-        }
     }
 }

@@ -1,24 +1,13 @@
-//! The fieldbus protocol: a Modbus-like request/response codec plus
-//! diversified wire dialects.
+//! The fieldbus protocol's diversified wire dialects.
 //!
 //! The reproduction hint for this paper singles out *protocol-variant
-//! diversification* as the feasible concrete mechanism. The design splits
-//! cleanly:
-//!
-//! * [`frame`] — dialect-independent protocol data units ([`frame::Request`],
-//!   [`frame::Response`], function codes, exceptions);
-//! * [`codec`] — the *semantic* byte encoding of PDUs (shared by all
-//!   dialects);
-//! * [`dialect`] — the *wire* encodings. Each [`dialect::ProtocolDialect`]
-//!   wraps the same PDU bytes differently (header layout, byte order,
-//!   checksum, authentication tag). A decoder rejects frames produced by a
-//!   different dialect — which is exactly why an exploit payload crafted
-//!   for one dialect does not traverse a segment speaking another.
+//! diversification* as the feasible concrete mechanism. Each
+//! [`dialect::ProtocolDialect`] stands for a different framing of the same
+//! fieldbus traffic (header layout, byte order, checksum, authentication
+//! tag). An exploit payload crafted for one dialect does not traverse a
+//! segment speaking another: the attack model charges that mismatch on
+//! every field-zone hop and PLC payload delivery.
 
-pub mod codec;
 pub mod dialect;
-pub mod frame;
 
-pub use codec::{decode_pdu, encode_pdu};
 pub use dialect::ProtocolDialect;
-pub use frame::{ExceptionCode, FunctionCode, Pdu, Request, Response};

@@ -41,10 +41,14 @@ fn request(batches: u32) -> IndicatorRequest {
 }
 
 fn reference(batches: u32) -> Measurements {
-    let scope = ScopeConfig::default();
-    let system = ScopeSystem::build(&scope);
-    let sim = CampaignSimulator::new(system.network(), ThreatModel::stuxnet_like(), CAMPAIGN);
-    let plan = campaign_plan(batches, BATCH_SIZE, SEED);
+    local_reference(&request(batches))
+}
+
+/// What a local unsharded run of `request`'s plan measures.
+fn local_reference(request: &IndicatorRequest) -> Measurements {
+    let system = ScopeSystem::build(&request.scope);
+    let sim = CampaignSimulator::new(system.network(), request.threat.clone(), request.campaign);
+    let plan = campaign_plan(request.batches, request.batch_size, request.seed);
     Executor::default().run_ws(
         &plan,
         || sim.workspace(),
@@ -87,6 +91,86 @@ fn loopback_service_round_trip() {
     assert_identical(
         replay.measurements.as_ref().unwrap(),
         response.measurements.as_ref().unwrap(),
+    );
+}
+
+/// The memo key's oracle: every component of a cell's identity — scope,
+/// threat, campaign, batch size and seed — separates cells. Each variant
+/// differs from the base request in exactly one of them, so a key that
+/// dropped that component would serve the variant the base's memoized
+/// batches instead of running its own.
+#[test]
+fn each_key_component_separates_cells() {
+    const BATCHES: u32 = 2;
+    let service = IndicatorService::in_process(3, service_options());
+    let base = request(BATCHES);
+    let first = service.request(&base);
+    assert!(!first.from_cache);
+    assert_identical(first.measurements.as_ref().unwrap(), &reference(BATCHES));
+
+    let variants = [
+        (
+            "scope",
+            IndicatorRequest {
+                scope: ScopeConfig {
+                    cracs: 6,
+                    ..ScopeConfig::default()
+                },
+                ..base.clone()
+            },
+        ),
+        (
+            "threat",
+            IndicatorRequest {
+                threat: ThreatModel::duqu_like(),
+                ..base.clone()
+            },
+        ),
+        (
+            "campaign",
+            IndicatorRequest {
+                campaign: CampaignConfig {
+                    detection_stops_attack: true,
+                    ..CAMPAIGN
+                },
+                ..base.clone()
+            },
+        ),
+        (
+            "batch_size",
+            IndicatorRequest {
+                batch_size: BATCH_SIZE + 1,
+                ..base.clone()
+            },
+        ),
+        (
+            "seed",
+            IndicatorRequest {
+                seed: SEED + 1,
+                ..base.clone()
+            },
+        ),
+    ];
+    for (component, variant) in &variants {
+        let response = service.request(variant);
+        assert!(!response.from_cache, "{component}: served from the memo");
+        assert_eq!(
+            response.new_replications,
+            variant.batches * variant.batch_size,
+            "{component}"
+        );
+        assert_identical(
+            response.measurements.as_ref().unwrap(),
+            &local_reference(variant),
+        );
+    }
+
+    let replay = service.request(&base);
+    assert!(replay.from_cache);
+    assert_eq!(replay.new_replications, 0);
+    assert_identical(
+        replay.measurements.as_ref().unwrap(),
+        first.measurements.as_ref().unwrap(),
     );
 }
 

@@ -5,58 +5,13 @@
 #![allow(clippy::disallowed_methods)]
 use diversify::attack::chain::{chain_success_probability, MachineChain};
 use diversify::attack::tree::{AttackTree, TreeNode};
-use diversify::scada::protocol::dialect::ProtocolDialect;
-use diversify::scada::protocol::frame::{Pdu, Request};
 use diversify::stats::anova::{factorial_two_level, EffectSpec};
 use diversify::stats::special::{inc_beta, inc_gamma};
 use diversify_doe::design::full_factorial;
 use proptest::prelude::*;
 
-fn arb_request() -> impl Strategy<Value = Request> {
-    prop_oneof![
-        (0u16..1000, 1u16..100).prop_map(|(address, count)| Request::ReadCoils { address, count }),
-        (0u16..1000, 1u16..100)
-            .prop_map(|(address, count)| { Request::ReadHoldingRegisters { address, count } }),
-        (0u16..1000, 1u16..100)
-            .prop_map(|(address, count)| { Request::ReadInputRegisters { address, count } }),
-        (0u16..1000, any::<bool>())
-            .prop_map(|(address, value)| Request::WriteSingleCoil { address, value }),
-        (0u16..1000, any::<u16>())
-            .prop_map(|(address, value)| Request::WriteSingleRegister { address, value }),
-        (0u16..1000, prop::collection::vec(any::<u16>(), 1..20))
-            .prop_map(|(address, values)| Request::WriteMultipleRegisters { address, values }),
-        prop::collection::vec(any::<u8>(), 0..200)
-            .prop_map(|image| Request::DownloadLogic { image }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every dialect round-trips every well-formed request.
-    #[test]
-    fn dialect_round_trip(req in arb_request(), key in any::<u64>()) {
-        let pdu = Pdu::Request(req);
-        for dialect in ProtocolDialect::ALL {
-            let wire = dialect.encode(&pdu, key);
-            let back = dialect.decode(&wire, key).expect("round trip");
-            prop_assert_eq!(&back, &pdu);
-        }
-    }
-
-    /// No dialect ever accepts another dialect's frames.
-    #[test]
-    fn dialect_cross_rejection(req in arb_request(), key in any::<u64>()) {
-        let pdu = Pdu::Request(req);
-        for enc in ProtocolDialect::ALL {
-            let wire = enc.encode(&pdu, key);
-            for dec in ProtocolDialect::ALL {
-                if enc != dec {
-                    prop_assert!(dec.decode(&wire, key).is_err());
-                }
-            }
-        }
-    }
 
     /// Chain success probability is in [0,1], and diversity never helps
     /// the attacker.
